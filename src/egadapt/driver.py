@@ -60,6 +60,14 @@ class RunConfig:
             raise ConfigError("cycles must be at least 1")
         if self.coarsen_rule not in ("threshold", "fraction"):
             raise ConfigError(f"unknown coarsen_rule '{self.coarsen_rule}'")
+        try:
+            PenaltySpec(self.alpha, self.theta)
+            adapt.AdaptParams(tau=self.tau, theta_coarse=self.theta_coarse,
+                              theta_refine=self.theta_refine,
+                              max_iters=self.max_iters,
+                              coarsen_rule=self.coarsen_rule)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 @dataclass

@@ -21,7 +21,10 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -192,6 +195,11 @@ class Mesh:
     def area(self):
         return sum(self._cells[cid].side ** 2 for cid in self.active_ids)
 
+    @property
+    def max_level(self):
+        """Deepest refinement level among the active cells."""
+        return round(math.log2(self.h0 / self.h_min))
+
     def interior_edges(self):
         return [e for e in self.edges if e.kind is EdgeKind.INTERIOR]
 
@@ -233,6 +241,34 @@ class Mesh:
                 raise MeshError(f"no cell covers position level={level} ({i},{j})")
             level, i, j = level - 1, i >> 1, j >> 1
         return pos2id[(level, i, j)]
+
+    # ------------------------------------------------------------------
+    # vectorised id arithmetic, valid for any mesh of the same forest
+
+    @cached_property
+    def active_id_array(self):
+        """``active_ids`` as a read-only int64 array."""
+        arr = np.array(self.active_ids, dtype=np.int64)
+        arr.setflags(write=False)
+        return arr
+
+    def active_rows(self, ids):
+        """Rows of ``ids`` in ``active_ids``; -1 where an id is not active."""
+        ids = np.asarray(ids, dtype=np.int64)
+        act = self.active_id_array
+        pos = np.minimum(np.searchsorted(act, ids), len(act) - 1)
+        return np.where(act[pos] == ids, pos, -1)
+
+    def parent_ids(self, ids):
+        """Parent ids of cell ids (-1 for roots) and the child position
+        ``(kx, ky)`` of each cell within its parent."""
+        ids = np.asarray(ids, dtype=np.int64)
+        parent, k = np.divmod(ids - self._nroots, 4)
+        return np.where(ids < self._nroots, -1, parent), k & 1, k >> 1
+
+    def child_ids(self, ids, kx, ky):
+        """Ids of the children at position ``(kx, ky)`` of cell ids."""
+        return self._nroots + 4 * np.asarray(ids, dtype=np.int64) + kx + 2 * ky
 
     # ------------------------------------------------------------------
     # edge construction

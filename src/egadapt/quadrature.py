@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -25,8 +26,13 @@ class QuadratureRule:
         return len(self.weights)
 
 
+@lru_cache(maxsize=10)
 def gauss_1d(n):
-    """n-point Gauss-Legendre rule on [0,1], exact for degree <= 2n-1."""
+    """n-point Gauss-Legendre rule on [0,1], exact for degree <= 2n-1.
+
+    Cached: callers share one rule per n, which is safe because its arrays
+    are read-only.
+    """
     if not 1 <= n <= 10:
         raise ValueError(f"point count must be in [1, 10], got {n}")
     x, w = leggauss(n)

@@ -401,10 +401,19 @@ def flux_jump_average(field, edge, t, K=None):
 class TransferredField:
     """Evaluator for a field from an earlier mesh on a related mesh.
 
-    The value at a physical point is the donor field evaluated in the
-    donor-mesh active cell containing the point (located by tree descent),
-    which is exact under pure refinement and piecewise-exact after
-    coarsening.
+    Both meshes belong to one forest, so a cell id names the same square
+    in both.  Each active target cell relates to the donor mesh in one of
+    three ways:
+
+    * same: the cell is active in the donor, whose restriction is used as is;
+    * finer: a donor ancestor is active, and the donor polynomial on that
+      ancestor is evaluated at the mapped points (exact under refinement);
+    * coarser: the donor has active descendants, and each point takes the
+      value of the donor cell that contains it (piecewise donor values).
+
+    A point on a midline belongs to the upper/right child (``>= 0.5``),
+    the tie rule of :meth:`Mesh.locate`, so :meth:`cell_values` and the
+    pointwise :meth:`value` agree.
     """
 
     def __init__(self, field, target):
@@ -429,52 +438,72 @@ class TransferredField:
         """
         if self.target_space is None:
             raise ValueError("cell_values requires a target EGSpace")
-        tsp = self.target_space
         if ref_pts is None:
-            ref_pts = tsp.tables.rule.points
-        ref_pts = np.atleast_2d(ref_pts)
+            ref_pts = self.target_space.tables.rule.points
+        ref_pts = np.atleast_2d(np.asarray(ref_pts, dtype=float))
         src, tgt = self.src_mesh, self.target_mesh
+        if (src.shape, src.h0) != (tgt.shape, tgt.h0):
+            raise MeshError("transfer needs meshes refined from one initial mesh")
+        k = self.src_space.k
+        dofs = self.src_space.cell_dofs
+        coeffs = self.field.coeffs
         out = np.empty((tgt.n_active, len(ref_pts)))
-        same_rows, same_src = [], []
-        for row, cid in enumerate(tgt.active_ids):
-            if src.is_active(cid):
-                same_rows.append(row)
-                same_src.append(cid)
-                continue
-            c = tgt.cell(cid)
-            anc = self._active_ancestor(cid)
-            if anc is not None:
-                a = src.cell(anc)
-                scale = c.side / a.side
-                off = np.array([(c.x0 - a.x0) / a.side, (c.y0 - a.y0) / a.side])
-                out[row] = self._eval_in_src(anc, off + scale * ref_pts)
-            else:
-                # target cell is coarser than the donor mesh: locate each
-                # quadrature point in the donor tree
-                phys = (np.array([c.x0, c.y0]) + c.side * ref_pts)
-                out[row] = [self.field.value(x, y) for x, y in phys]
-        if same_rows:
-            N, _, _ = tabulate(self.src_space.k, ref_pts)
-            rows = [self.src_space.cell_row(cid) for cid in same_src]
-            loc = self.field.coeffs[self.src_space.cell_dofs[rows]]
-            out[same_rows] = loc @ N.T
+
+        # same and finer cells: climb to the active donor ancestor, keeping
+        # the cell's depth below it and its integer position (ix, iy) on
+        # that depth's grid of the ancestor's reference square
+        ids = tgt.active_id_array
+        cur = ids.copy()
+        depth = np.zeros(len(ids), dtype=np.int64)
+        ix = np.zeros(len(ids), dtype=np.int64)
+        iy = np.zeros(len(ids), dtype=np.int64)
+        drow = src.active_rows(cur)
+        for _ in range(tgt.max_level):
+            todo = np.flatnonzero((drow < 0) & (cur >= 0))
+            if not len(todo):
+                break
+            cur[todo], kx, ky = src.parent_ids(cur[todo])
+            ix[todo] += kx << depth[todo]
+            iy[todo] += ky << depth[todo]
+            depth[todo] += 1
+            drow[todo] = src.active_rows(cur[todo])
+        hit = np.flatnonzero(drow >= 0)
+        if len(hit):
+            # one tabulation per distinct (depth, ix, iy); the key is unique
+            # because ix + iy * 2**depth < 4**depth
+            key = (1 << 2 * depth[hit]) + ix[hit] + (iy[hit] << depth[hit])
+            _, first, inv = np.unique(key, return_index=True,
+                                      return_inverse=True)
+            pat = hit[first]
+            scale = 0.5 ** depth[pat]
+            off = np.column_stack([ix[pat], iy[pat]]) * scale[:, None]
+            pts = off[:, None, :] + scale[:, None, None] * ref_pts[None]
+            N = tabulate(k, pts.reshape(-1, 2))[0].reshape(
+                len(pat), len(ref_pts), -1)
+            out[hit] = np.einsum("cqi,ci->cq", N[inv],
+                                 coeffs[dofs[drow[hit]]])
+
+        # coarser cells: descend per point to the donor cell containing it
+        miss = np.flatnonzero(drow < 0)
+        if len(miss):
+            cur = np.repeat(ids[miss], len(ref_pts))
+            u = np.tile(ref_pts, (len(miss), 1))
+            prow = np.full(len(cur), -1)
+            for _ in range(src.max_level):
+                todo = np.flatnonzero(prow < 0)
+                if not len(todo):
+                    break
+                kxy = (u[todo] >= 0.5).astype(np.int64)
+                cur[todo] = src.child_ids(cur[todo], kxy[:, 0], kxy[:, 1])
+                u[todo] = 2.0 * u[todo] - kxy
+                prow[todo] = src.active_rows(cur[todo])
+            if np.any(prow < 0):
+                raise MeshError("transfer: target points not covered by the "
+                                "donor mesh")
+            N = tabulate(k, u)[0]
+            out[miss] = np.einsum("pi,pi->p", N, coeffs[dofs[prow]]).reshape(
+                len(miss), len(ref_pts))
         return out
-
-    def _active_ancestor(self, cid):
-        src = self.src_mesh
-        cur = self.target_mesh.cell(cid)
-        while cur.parent is not None:
-            if src.is_active(cur.parent):
-                return cur.parent
-            # parents agree between the meshes: ids encode tree position
-            cur = self.target_mesh.cell(cur.parent) \
-                if cur.parent in self.target_mesh._cells else src.cell(cur.parent)
-        return None
-
-    def _eval_in_src(self, cid, ref_pts):
-        N, _, _ = tabulate(self.src_space.k, ref_pts)
-        loc = self.field.coeffs[self.src_space.cell_dofs[self.src_space.cell_row(cid)]]
-        return N @ loc
 
 
 def transfer(field, target):

@@ -135,6 +135,15 @@ class TestCli:
     def test_unknown_flag_exits_2(self):
         assert cli_main(["--frobnicate", "1"]) == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--theta-refine", "1.5"), ("--alpha", "-1"), ("--tau", "0"),
+        ("--max-iters", "0"), ("--theta-coarse", "1.0")])
+    def test_bad_adaptive_parameter_exits_2(self, flag, value, capsys):
+        rc = cli_main(["--problem", "example1", "--mode", "adaptive_full",
+                       "--h0", "0.25", "--T", "0.01", flag, value])
+        assert rc == 2
+        assert "configuration error:" in capsys.readouterr().out
+
     def test_bad_config_file_line_reported(self, tmp_path, capsys):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text("problem = smoke_linear\nwhatever = 1\n")

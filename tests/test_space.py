@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from egadapt import (DiscreteField, DomainShape, EGSpace, MeshError,
                      broken_h1_error, build_initial, edge_rule, interpolate,
@@ -229,6 +230,74 @@ class TestTransfer:
         tr = transfer(f, s)
         with pytest.raises(ValueError):
             tr.value(0.7, 0.7)
+
+
+def _coarsen_quads(mesh, rng):
+    """Coarsen a random subset of the complete active sibling quadruples."""
+    kids = {}
+    for cid in mesh.active_ids:
+        parent = mesh.cell(cid).parent
+        if parent is not None:
+            kids.setdefault(parent, []).append(cid)
+    quads = [q for q in kids.values() if len(q) == 4 and rng.random() < 0.7]
+    return mesh.coarsen([cid for q in quads for cid in q])
+
+
+def _refine_some(mesh, rng):
+    ids = list(mesh.active_ids)
+    return mesh.refine(rng.choice(ids, size=max(1, len(ids) // 3),
+                                  replace=False))
+
+
+class TestBatchedTransfer:
+    """``cell_values`` against the pointwise ``values`` oracle."""
+
+    @settings(max_examples=16, deadline=None, derandomize=True)
+    @given(shape=st.sampled_from([DomainShape.UNIT_SQUARE, DomainShape.L_SHAPE]),
+           k=st.sampled_from([1, 2]),
+           ops=st.lists(st.sampled_from(["refine", "coarsen"]), min_size=1,
+                        max_size=3),
+           seed=st.integers(0, 2 ** 16))
+    @example(shape=DomainShape.L_SHAPE, k=1, ops=["coarsen", "coarsen"], seed=3)
+    @example(shape=DomainShape.UNIT_SQUARE, k=2, ops=["coarsen", "refine"],
+             seed=4)
+    def test_matches_pointwise_oracle(self, shape, k, ops, seed):
+        rng = np.random.default_rng(seed)
+        donor = build_initial(shape, 1.0)
+        for _ in range(3):
+            donor = _refine_some(donor, rng)
+        target = donor
+        for op in ops:
+            target = (_refine_some if op == "refine" else _coarsen_quads)(
+                target, rng)
+        s_donor, s_target = EGSpace(donor, k), EGSpace(target, k)
+        coeffs = rng.uniform(-1.0, 1.0, s_donor.n_dofs)
+        f = DiscreteField(s_donor, s_donor.apply_constraints(coeffs))
+        tr = transfer(f, s_target)
+        vals = tr.cell_values()
+        X = s_target.tables.X
+        oracle = tr.values(X.reshape(-1, 2)).reshape(vals.shape)
+        assert np.max(np.abs(vals - oracle)) <= 1e-14
+
+        if set(ops) == {"refine"}:
+            # a Q_k polynomial is transferred exactly under refinement
+            c = rng.uniform(-1.0, 1.0, (k + 1, k + 1))
+
+            def poly(x, y):
+                return sum(c[a, b] * x ** a * y ** b
+                           for a in range(k + 1) for b in range(k + 1))
+
+            exact = transfer(interpolate(s_donor, poly), s_target).cell_values()
+            assert np.allclose(exact,
+                               interpolate(s_target, poly).cell_values(0),
+                               rtol=0.0, atol=1e-13)
+
+    def test_unrelated_meshes_rejected(self):
+        s = EGSpace(build_initial(DomainShape.UNIT_SQUARE, 0.5), 1)
+        f = DiscreteField(s, np.zeros(s.n_dofs))
+        other = EGSpace(build_initial(DomainShape.UNIT_SQUARE, 0.25), 1)
+        with pytest.raises(MeshError):
+            transfer(f, other).cell_values()
 
 
 class TestBrokenH1:
