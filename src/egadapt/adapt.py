@@ -1,6 +1,7 @@
 """Per-time-step h-adaptivity: coarsen, then refine-solve to tolerance.
 
-Each accepted step proceeds as
+Every time step of every run mode goes through :func:`adapt_step`.  Each
+accepted step proceeds as
 
 1. mark cells whose previous-step indicator falls below a fraction of the
    maximum and coarsen them (complete sibling quadruples only),
@@ -8,6 +9,16 @@ Each accepted step proceeds as
 3. while the total indicator is at or above the tolerance and the
    iteration cap is not hit: bulk-mark (Doerfler), refine, transfer the
    previous solution, re-solve.
+
+Uniform runs are the no-marking case: ``theta_coarse = 0`` and an
+infinite tolerance, so each step is one solve on the initial mesh.
+
+The system matrix depends only on the mesh, the degree, dt, the penalty
+and K.  A solve on the mesh of the previous solution therefore reuses
+that solution's EG space (no transfer), and the LU factor of the last
+solve is carried in :class:`AdaptState` and reused while the space, dt,
+penalty and K are those it was built with.  The old factor is released
+before any new factorization, so at most one is alive at a time.
 
 The bulk marking selects the smallest set of cells, by descending local
 indicator, whose squared-indicator mass reaches theta_refine times the
@@ -18,6 +29,7 @@ cell id.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 from . import assembly, estimator, space as space_mod
@@ -97,11 +109,12 @@ def coarsen_mark(indicators, theta_coarse, rule="threshold"):
 
 @dataclass
 class AdaptState:
-    """Solution, mesh and indicators carried across time steps."""
+    """Solution, mesh, indicators and LU factor carried across time steps."""
 
     field: object
     mesh: object
     indicators: estimator.CellIndicators | None = None
+    solver: assembly.CondensedSolver | None = None
 
 
 class RunTracker:
@@ -122,19 +135,22 @@ class RunTracker:
         return estimator.effectivity(self.eta_linf, self.error_linf)
 
 
-def _solve_on(mesh, state, problem, penalty, k, t_n, dt):
-    """Assemble and solve one backward-Euler step on the given mesh."""
+def _space_and_prev(mesh, field, k):
+    """EG space on ``mesh`` and the previous solution at its cell points.
+
+    The previous solution's own space is reused when it lives on ``mesh``.
+    """
+    if mesh is field.space.mesh and field.space.k == k:
+        return field.space, field.cell_values(0)
     sp = space_mod.EGSpace(mesh, k)
-    prev = space_mod.transfer(state.field, sp)
-    prev_vals = prev.cell_values()
+    return sp, space_mod.transfer(field, sp).cell_values()
+
+
+def _factor(sp, problem, penalty, dt, key):
+    """Assemble M/dt + A_theta on a space and factor it."""
     A = assembly.assemble_A_theta(sp, problem.K, penalty)
     M = assembly.assemble_mass(sp)
-    S = (M / dt + A).tocsr()
-    b = assembly.assemble_rhs(sp, problem, t_n, penalty, prev=prev_vals, dt=dt)
-    field = assembly.apply_constraints_and_solve(S, b, sp)
-    ind = estimator.compute_indicators(sp, field, prev_vals, problem, t_n, dt,
-                                       penalty.alpha)
-    return sp, field, ind
+    return assembly.CondensedSolver((M / dt + A).tocsr(), sp, key=key)
 
 
 def adapt_step(state, problem, params, penalty, k, n, t_n, dt, tracker,
@@ -143,8 +159,12 @@ def adapt_step(state, problem, params, penalty, k, n, t_n, dt, tracker,
 
     Returns (new_state, StepReport).  With ``pure_refine`` the step
     performs exactly one mark-refine-resolve round and skips coarsening
-    and the tolerance test.
+    and the tolerance test.  The LU factor in ``state.solver`` is taken
+    over (the attribute is cleared) and the new state carries the factor
+    of the last solve.
     """
+    solver, state.solver = state.solver, None
+    key = (dt, penalty, problem.K)
     mesh = state.mesh
     if not pure_refine and state.indicators is not None and params.theta_coarse > 0:
         marks = coarsen_mark(state.indicators, params.theta_coarse,
@@ -154,11 +174,20 @@ def adapt_step(state, problem, params, penalty, k, n, t_n, dt, tracker,
 
     iters = 0
     while True:
-        sp, field, ind = _solve_on(mesh, state, problem, penalty, k, t_n, dt)
+        sp, prev_vals = _space_and_prev(mesh, state.field, k)
+        if solver is None or solver.space is not sp or solver.key != key:
+            solver = None      # free the old factor before building the next
+            solver = _factor(sp, problem, penalty, dt, key)
+        b = assembly.assemble_rhs(sp, problem, t_n, penalty, prev=prev_vals,
+                                  dt=dt)
+        field = space_mod.DiscreteField(sp, solver.solve(b))
+        ind = estimator.compute_indicators(sp, field, prev_vals, problem, t_n,
+                                           dt, penalty.alpha)
         if pure_refine:
             if iters >= 1:
                 break
-        elif ind.total < params.tau:
+        elif params.tau == math.inf or ind.total < params.tau:
+            # an infinite tolerance never refines, even on a NaN indicator
             break
         elif iters >= params.max_iters:
             logger.warning(
@@ -184,4 +213,4 @@ def adapt_step(state, problem, params, penalty, k, n, t_n, dt, tracker,
         eta_total=ind.total, eta_sum=ind.sum_T, eta_linf=tracker.eta_linf,
         error_h1=error, error_linf=tracker.error_linf, ei=tracker.ei,
         adapt_iters=iters)
-    return AdaptState(field, mesh, ind), report
+    return AdaptState(field, mesh, ind, solver), report

@@ -12,8 +12,6 @@ sub-interval), cells are processed in one batch.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,22 +55,6 @@ class SparseSystem:
     @property
     def dimension(self):
         return self.matrix.shape[0]
-
-
-def _thread_count():
-    try:
-        return max(1, int(os.environ.get("EG_ADAPT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_in_order(fn, items):
-    """Apply fn to items, optionally on a thread pool, preserving order."""
-    n = _thread_count()
-    if n > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            return list(pool.map(fn, items))
-    return [fn(it) for it in items]
 
 
 # ----------------------------------------------------------------------
@@ -216,9 +198,8 @@ def assemble_edge_terms(space, K, penalty):
     """Interior and Dirichlet edge contributions to the bilinear form."""
     n = space.n_dofs
     total = sparse.csr_matrix((n, n))
-    parts = _map_in_order(lambda g: _edge_group_matrix(space, g, K, penalty),
-                          edge_groups(space))
-    for part in parts:
+    for g in edge_groups(space):
+        part = _edge_group_matrix(space, g, K, penalty)
         if part is None:
             continue
         dofs, data = part
@@ -301,24 +282,6 @@ def assemble_rhs(space, problem, t_n, penalty=PenaltySpec(), prev=None, dt=None)
 # ----------------------------------------------------------------------
 # constrained solve
 
-def _solver_constraint_matrix(space, pins):
-    """Constraint map with extra pinned dofs (rows left empty)."""
-    n = space.n_dofs
-    skip = set(space.constraints) | set(pins)
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        if i not in skip:
-            rows.append(i)
-            cols.append(i)
-            vals.append(1.0)
-    for s, terms in space.constraints.items():
-        for m, w in terms:
-            rows.append(s)
-            cols.append(m)
-            vals.append(w)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
 class CondensedSolver:
     """LU factorization of a system with hanging constraints condensed.
 
@@ -333,18 +296,26 @@ class CondensedSolver:
     additionally fixes the first cell's constant to zero, selecting the
     unique coefficient representative of each solution; the discrete
     space, and therefore the computed function, is unchanged.
+
+    ``key`` is stored as given; callers that keep the factor across
+    solves use it to record what the matrix was assembled from.
     """
 
-    def __init__(self, matrix, space, residual_tol=1e-11, pin_constant=True):
+    def __init__(self, matrix, space, residual_tol=1e-11, pin_constant=True,
+                 key=None):
         self.space = space
         self.residual_tol = residual_tol
+        self.key = key
         pins = []
         if pin_constant and space.n_const > 0 \
                 and space.n_cg not in space.constraints:
             pins.append(space.n_cg)
         self.slaves = sorted(set(space.constraints) | set(pins))
         if self.slaves:
-            C = _solver_constraint_matrix(space, pins)
+            # the space's constraint map with the pinned rows zeroed
+            keep = np.ones(space.n_dofs)
+            keep[pins] = 0.0
+            C = (sparse.diags(keep) @ space.constraint_matrix).tocsr()
             diag = np.zeros(space.n_dofs)
             diag[self.slaves] = 1.0
             self.matrix_c = (C.T @ matrix @ C + sparse.diags(diag)).tocsc()

@@ -1,9 +1,10 @@
 """Experiment orchestration: time loops, convergence cycles, CSV output
 and the command-line entry point.
 
-A run is described by a flat ``RunConfig``.  Uniform runs keep the mesh
-and factorization fixed and only rebuild the right-hand side per step;
-adaptive runs delegate each step to :func:`egadapt.adapt.adapt_step`.
+A run is described by a flat ``RunConfig``.  Every mode advances each
+time step through :func:`egadapt.adapt.adapt_step`; a uniform run is the
+case that marks nothing (no coarsening, infinite tolerance), so its mesh,
+EG space and LU factor are built once and reused for all steps.
 Convergence studies halve the initial mesh size per cycle and report the
 DoF-based convergence order
 
@@ -17,7 +18,7 @@ import math
 import os
 from dataclasses import dataclass, fields as dc_fields, replace
 
-from . import adapt, assembly, estimator, problems, space as space_mod, writers
+from . import adapt, problems, space as space_mod, writers
 from .assembly import PenaltySpec, SolverError
 from .mesh import ConfigError, build_initial
 
@@ -62,12 +63,23 @@ class RunConfig:
             raise ConfigError(f"unknown coarsen_rule '{self.coarsen_rule}'")
         try:
             PenaltySpec(self.alpha, self.theta)
-            adapt.AdaptParams(tau=self.tau, theta_coarse=self.theta_coarse,
-                              theta_refine=self.theta_refine,
-                              max_iters=self.max_iters,
-                              coarsen_rule=self.coarsen_rule)
+            self.adapt_params()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+
+    def adapt_params(self):
+        """Marking policy of the run.
+
+        The adaptive parameters are checked in every mode; a uniform run
+        then marks nothing: no coarsening and an infinite tolerance.
+        """
+        params = adapt.AdaptParams(
+            tau=self.tau, theta_coarse=self.theta_coarse,
+            theta_refine=self.theta_refine, max_iters=self.max_iters,
+            coarsen_rule=self.coarsen_rule)
+        if self.mode == "uniform":
+            return replace(params, tau=math.inf, theta_coarse=0.0)
+        return params
 
 
 @dataclass
@@ -197,52 +209,19 @@ def run_timeloop(config, problem=None, cycle=1):
             if abs(t - ts) < 0.5 * config.dt:
                 _snapshot(config, cycle, mesh_now, fld_now, ts)
 
+    params = config.adapt_params()
+    pure = config.mode == "adaptive_pure_refine"
+    state = adapt.AdaptState(fld, mesh, None)
     try:
-        if config.mode == "uniform":
-            A = assembly.assemble_A_theta(sp, problem.K, penalty)
-            M = assembly.assemble_mass(sp)
-            S = (M / config.dt + A).tocsr()
-            solver = assembly.CondensedSolver(S, sp)
-            for n in range(1, nsteps + 1):
-                t_n = n * config.dt
-                b = (M @ fld.coeffs) / config.dt \
-                    + assembly.assemble_rhs(sp, problem, t_n, penalty)
-                prev_vals = fld.cell_values(0)
-                fld = space_mod.DiscreteField(sp, solver.solve(b))
-                ind = estimator.compute_indicators(sp, fld, prev_vals, problem,
-                                                   t_n, config.dt, config.alpha)
-                error = None
-                if problem.exact is not None:
-                    error = space_mod.broken_h1_error(
-                        fld,
-                        lambda x, y: problem.exact.p(x, y, t_n),
-                        lambda x, y: problem.exact.grad(x, y, t_n))
-                tracker.update(ind.sum_T, error)
-                rep = estimator.StepReport(
-                    n=n, t_n=t_n, dofs=sp.n_dofs, h_min_n=mesh.h_min,
-                    eta_total=ind.total, eta_sum=ind.sum_T,
-                    eta_linf=tracker.eta_linf, error_h1=error,
-                    error_linf=tracker.error_linf, ei=tracker.ei)
-                reports.append(rep)
-                if csv:
-                    csv.write(rep)
-                maybe_snapshot(t_n, mesh, fld)
-        else:
-            pure = config.mode == "adaptive_pure_refine"
-            params = adapt.AdaptParams(
-                tau=config.tau, theta_coarse=config.theta_coarse,
-                theta_refine=config.theta_refine, max_iters=config.max_iters,
-                coarsen_rule=config.coarsen_rule)
-            state = adapt.AdaptState(fld, mesh, None)
-            for n in range(1, nsteps + 1):
-                t_n = n * config.dt
-                state, rep = adapt.adapt_step(
-                    state, problem, params, penalty, config.k, n, t_n,
-                    config.dt, tracker, pure_refine=pure)
-                reports.append(rep)
-                if csv:
-                    csv.write(rep)
-                maybe_snapshot(t_n, state.mesh, state.field)
+        for n in range(1, nsteps + 1):
+            t_n = n * config.dt
+            state, rep = adapt.adapt_step(
+                state, problem, params, penalty, config.k, n, t_n,
+                config.dt, tracker, pure_refine=pure)
+            reports.append(rep)
+            if csv:
+                csv.write(rep)
+            maybe_snapshot(t_n, state.mesh, state.field)
     finally:
         if csv:
             csv.close()
@@ -375,6 +354,9 @@ def cli_main(argv=None):
             last = reports[-1]
             print(f"done: {len(reports)} steps, final dofs={last.dofs}, "
                   f"eta={last.eta_total:.6g}, error={_fmt(last.error_linf)}")
+    except ConfigError as exc:
+        print(f"configuration error: {exc}")
+        return 2
     except SolverError as exc:
         print(f"solver failure: {exc}")
         return 3

@@ -426,7 +426,9 @@ class Mesh:
 
         Marks that cannot be honored (incomplete quadruples, root cells, or
         quadruples whose removal would break 1-irregularity) are dropped; the
-        dropped count is logged.
+        dropped count is logged.  When no quadruple is removed the mesh
+        itself is returned, so callers can detect an unchanged mesh by
+        identity.
         """
         marked = set(marked)
         bad = marked - self._active
@@ -463,6 +465,8 @@ class Mesh:
         dropped = len(marked) - 4 * len(applied)
         if dropped:
             logger.debug("coarsen: %d of %d marks dropped", dropped, len(marked))
+        if not applied:
+            return self
         return self._rebuild(cells, active)
 
     # ------------------------------------------------------------------

@@ -19,6 +19,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
 
 from .mesh import (EAST, NORTH, SOUTH, SUB_FULL, SUB_HIGH, SUB_LOW, WEST,
                    MeshError)
@@ -209,19 +210,18 @@ class EGSpace:
         hanging (slave) dof carries its master weights.
         """
         if self._C is None:
-            from scipy import sparse
             n = self.n_dofs
-            rows, cols, vals = [], [], []
-            for i in range(n):
-                if i not in self.constraints:
-                    rows.append(i)
-                    cols.append(i)
-                    vals.append(1.0)
-            for s, terms in self.constraints.items():
-                for m, w in terms:
-                    rows.append(s)
-                    cols.append(m)
-                    vals.append(w)
+            cons = self.constraints
+            free = np.ones(n, dtype=bool)
+            free[list(cons)] = False
+            ids = np.flatnonzero(free)
+            slaves = np.repeat(np.array(list(cons), dtype=np.int64),
+                               [len(t) for t in cons.values()])
+            masters = [m for t in cons.values() for m, _ in t]
+            weights = [w for t in cons.values() for _, w in t]
+            rows = np.concatenate([ids, slaves])
+            cols = np.concatenate([ids, np.array(masters, dtype=np.int64)])
+            vals = np.concatenate([np.ones(len(ids)), weights])
             self._C = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
         return self._C
 

@@ -1,11 +1,17 @@
+import copy
+import dataclasses
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from egadapt import (AdaptParams, AdaptState, DomainShape, EGSpace, PenaltySpec,
-                     build_initial, coarsen_mark, dorfler_mark, interpolate)
+from egadapt import (AdaptParams, AdaptState, CondensedSolver, DiscreteField,
+                     DomainShape, EGSpace, Mesh, PenaltySpec, RunConfig,
+                     build_initial, coarsen_mark, dorfler_mark, interpolate,
+                     run_timeloop)
+from egadapt import adapt as adapt_mod
 from egadapt.adapt import RunTracker, adapt_step
 from egadapt.problems import example1, smoke_linear
 
@@ -132,6 +138,152 @@ class TestAdaptStep:
                                     1, 0.01, 0.01, RunTracker())
         assert rep.adapt_iters == 2
         assert any("tolerance" in r.message for r in caplog.records)
+
+
+def _count_inits(monkeypatch, cls, on_init=None):
+    """Count calls of ``cls.__init__``; ``on_init`` runs before each one."""
+    calls = []
+    real = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        if on_init is not None:
+            on_init()
+        calls.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return calls
+
+
+class TestFactorReuse:
+    """The space and LU factor survive steps that keep the mesh."""
+
+    PEN = PenaltySpec(1.0, 0)
+    UNIFORM = AdaptParams(tau=math.inf, theta_coarse=0.0)
+
+    @staticmethod
+    def _first_step(params, h0=0.25, k=1, pure_refine=False):
+        prob = example1()
+        state = TestAdaptStep._state(prob, h0, k)
+        tracker = RunTracker()
+        state, _ = adapt_step(state, prob, params, TestFactorReuse.PEN, k,
+                              1, 0.01, 0.01, tracker, pure_refine=pure_refine)
+        return prob, state, tracker
+
+    def test_unchanged_mesh_builds_nothing_and_matches_fresh_solve(
+            self, monkeypatch):
+        # root cells cannot be coarsened, so every coarsen mark is dropped
+        params = AdaptParams(tau=math.inf, theta_coarse=0.9)
+        for k in (1, 2):
+            prob, state, tracker = self._first_step(params, k=k)
+            assert state.solver is not None
+            # a fresh solve: same coefficients on a newly built space, no factor
+            fresh_field = DiscreteField(EGSpace(state.mesh, k),
+                                        state.field.coeffs.copy())
+            fresh_state = AdaptState(fresh_field, state.mesh, state.indicators)
+            fresh_tracker = copy.deepcopy(tracker)
+            _, fresh = adapt_step(fresh_state, prob, params, self.PEN, k, 2,
+                                  0.02, 0.01, fresh_tracker)
+            with monkeypatch.context() as mp:
+                spaces = _count_inits(mp, EGSpace)
+                factors = _count_inits(mp, CondensedSolver)
+                new, rep = adapt_step(state, prob, params, self.PEN, k, 2,
+                                      0.02, 0.01, tracker)
+                assert (len(spaces), len(factors)) == (0, 0)
+            assert new.mesh is state.mesh
+            for f in dataclasses.fields(rep):
+                a, b = getattr(rep, f.name), getattr(fresh, f.name)
+                if isinstance(a, float):
+                    assert a == pytest.approx(b, rel=1e-12, abs=0.0), f.name
+                else:
+                    assert a == b, f.name
+
+    def test_unhonoured_coarsening_keeps_the_mesh(self):
+        params = AdaptParams(tau=math.inf, theta_coarse=0.9)
+        prob, state, tracker = self._first_step(params)
+        marks = coarsen_mark(state.indicators, 0.9)
+        assert marks and state.mesh.coarsen(marks) is state.mesh
+
+    def test_different_dt_refactors(self, monkeypatch):
+        prob, state, tracker = self._first_step(self.UNIFORM)
+        spaces = _count_inits(monkeypatch, EGSpace)
+        factors = _count_inits(monkeypatch, CondensedSolver)
+        adapt_step(state, prob, self.UNIFORM, self.PEN, 1, 2, 0.025, 0.015,
+                   tracker)
+        assert (len(spaces), len(factors)) == (0, 1)
+
+    def test_different_penalty_refactors(self, monkeypatch):
+        prob, state, tracker = self._first_step(self.UNIFORM)
+        factors = _count_inits(monkeypatch, CondensedSolver)
+        adapt_step(state, prob, self.UNIFORM, PenaltySpec(2.0, 0), 1, 2, 0.02,
+                   0.01, tracker)
+        assert len(factors) == 1
+
+    def test_refine_refactors(self, monkeypatch):
+        params = AdaptParams(tau=1e-12, theta_coarse=0.0, theta_refine=0.1)
+        prob, state, tracker = self._first_step(params, h0=0.5,
+                                                pure_refine=True)
+        spaces = _count_inits(monkeypatch, EGSpace)
+        factors = _count_inits(monkeypatch, CondensedSolver)
+        new, rep = adapt_step(state, prob, params, self.PEN, 1, 2, 0.02, 0.01,
+                              tracker, pure_refine=True)
+        # the first solve reuses the carried factor; the refined mesh does not
+        assert rep.adapt_iters == 1
+        assert new.mesh is not state.mesh
+        assert (len(spaces), len(factors)) == (1, 1)
+        assert new.solver.space is new.field.space
+
+    def test_real_coarsen_refactors(self, monkeypatch):
+        refine = AdaptParams(tau=1e-12, theta_coarse=0.0, theta_refine=0.5)
+        prob, state, tracker = self._first_step(refine, h0=0.5,
+                                                pure_refine=True)
+        coarsen = AdaptParams(tau=math.inf, theta_coarse=0.99)
+        spaces = _count_inits(monkeypatch, EGSpace)
+        factors = _count_inits(monkeypatch, CondensedSolver)
+        new, _ = adapt_step(state, prob, coarsen, self.PEN, 1, 2, 0.02, 0.01,
+                            tracker)
+        assert new.mesh.n_active < state.mesh.n_active
+        assert (len(spaces), len(factors)) == (1, 1)
+
+    def test_old_factor_released_before_next_factorization(self, monkeypatch):
+        prob, state, tracker = self._first_step(self.UNIFORM)
+        ref = weakref.ref(state.solver)
+        alive = []
+        _count_inits(monkeypatch, CondensedSolver,
+                     on_init=lambda: alive.append(ref() is not None))
+        new, _ = adapt_step(state, prob, self.UNIFORM, self.PEN, 1, 2, 0.025,
+                            0.015, tracker)
+        assert alive == [False]
+        assert state.solver is None and new.solver is not None
+
+    def test_nan_indicator_never_refines_without_tolerance(self, monkeypatch):
+        prob, state, tracker = self._first_step(self.UNIFORM)
+        real = adapt_mod.estimator.compute_indicators
+
+        def nan_indicators(*args, **kwargs):
+            ind = real(*args, **kwargs)
+            return dataclasses.replace(ind, eta_T=np.full_like(ind.eta_T,
+                                                               np.nan))
+
+        def no_refine(self, marked):
+            raise AssertionError("refined under an infinite tolerance")
+
+        monkeypatch.setattr(adapt_mod.estimator, "compute_indicators",
+                            nan_indicators)
+        monkeypatch.setattr(Mesh, "refine", no_refine)
+        new, rep = adapt_step(state, prob, self.UNIFORM, self.PEN, 1, 2, 0.02,
+                              0.01, tracker)
+        assert rep.adapt_iters == 0 and math.isnan(rep.eta_total)
+
+    def test_uniform_run_factors_once(self, monkeypatch):
+        spaces = _count_inits(monkeypatch, EGSpace)
+        factors = _count_inits(monkeypatch, CondensedSolver)
+        reps = run_timeloop(RunConfig(problem="example1", mode="uniform",
+                                      h0=0.25, dt=0.01, T_final=0.06))
+        assert len(reps) == 6
+        assert (len(spaces), len(factors)) == (1, 1)
+        assert {r.dofs for r in reps} == {reps[0].dofs}
+        assert all(r.adapt_iters == 0 for r in reps)
 
 
 class TestParams:

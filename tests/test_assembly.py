@@ -190,6 +190,54 @@ class TestRhs:
         assert b[s.n_cg] == pytest.approx(1.0, abs=1e-13)   # int over one edge
 
 
+def reference_constraint_matrix(space, pins=()):
+    """Per-dof loop building the constraint map, pinned rows left empty."""
+    n = space.n_dofs
+    skip = set(space.constraints) | set(pins)
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        if i not in skip:
+            rows.append(i)
+            cols.append(i)
+            vals.append(1.0)
+    for s, terms in space.constraints.items():
+        for m, w in terms:
+            rows.append(s)
+            cols.append(m)
+            vals.append(w)
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+class TestConstraintMatrix:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_against_reference_loop(self, k):
+        s = EGSpace(random_adaptive_mesh(seed=3), k)
+        assert s.constraints
+        C, ref = s.constraint_matrix, reference_constraint_matrix(s)
+        assert C.format == "csr" and C.nnz == ref.nnz
+        assert np.array_equal(C.toarray(), ref.toarray())
+
+    def test_no_hanging_nodes_is_identity(self):
+        s = EGSpace(build_initial(DomainShape.UNIT_SQUARE, 0.5), 1)
+        assert not s.constraints
+        assert np.array_equal(s.constraint_matrix.toarray(), np.eye(s.n_dofs))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_condensed_matrix_entry_for_entry(self, k):
+        s = EGSpace(random_adaptive_mesh(seed=4), k)
+        assert s.constraints
+        S = (assemble_mass(s) / 0.01
+             + assemble_A_theta(s, None, PenaltySpec(1.0, -1))).tocsr()
+        solver = CondensedSolver(S, s)
+        pins = [s.n_cg]
+        C = reference_constraint_matrix(s, pins)
+        diag = np.zeros(s.n_dofs)
+        diag[sorted(set(s.constraints) | set(pins))] = 1.0
+        ref = (C.T @ S @ C + sparse.diags(diag)).tocsc()
+        assert np.array_equal(solver.C.toarray(), C.toarray())
+        assert np.array_equal(solver.matrix_c.toarray(), ref.toarray())
+
+
 class TestSolve:
     def test_identity_system(self):
         m = build_initial(DomainShape.UNIT_SQUARE, 0.5)

@@ -180,6 +180,44 @@ class TestCli:
         lines = (tmp_path / "steps_c1.csv").read_text().splitlines()
         assert len(lines) == 3     # header plus the two completed steps
 
+    def test_adaptive_solver_failure_exits_3_with_partial_csv(
+            self, tmp_path, monkeypatch):
+        from egadapt import SolverError, adapt
+        from egadapt.assembly import CondensedSolver
+        args = ["--problem", "example1", "--mode", "adaptive_full",
+                "--h0", "0.25", "--dt", "0.1", "--T", "0.5", "--tau", "5e-3"]
+        assert cli_main(args + ["--output-dir", str(tmp_path / "full")]) == 0
+        full = (tmp_path / "full" / "steps_c1.csv").read_text().splitlines()
+        assert len(full) == 6
+
+        # the first solve of step 3 fails
+        real_step, real_solve = adapt.adapt_step, CondensedSolver.solve
+        step = {"n": 0}
+
+        def counting_step(*a, **kw):
+            step["n"] = a[5]
+            return real_step(*a, **kw)
+
+        def failing_solve(self, rhs):
+            if step["n"] >= 3:
+                raise SolverError("synthetic failure")
+            return real_solve(self, rhs)
+
+        monkeypatch.setattr(adapt, "adapt_step", counting_step)
+        monkeypatch.setattr(CondensedSolver, "solve", failing_solve)
+        rc = cli_main(args + ["--output-dir", str(tmp_path / "cut")])
+        assert rc == 3
+        cut = (tmp_path / "cut" / "steps_c1.csv").read_text().splitlines()
+        assert cut == full[:3]     # header plus the two completed steps
+
+    def test_dt_not_dividing_T_exits_2(self, tmp_path, capsys):
+        rc = cli_main(["--problem", "smoke_linear", "--mode", "uniform",
+                       "--h0", "0.5", "--dt", "0.03", "--T", "0.1",
+                       "--output-dir", str(tmp_path)])
+        assert rc == 2
+        out = capsys.readouterr().out
+        assert out.startswith("configuration error:") and "divide" in out
+
 
 class TestWriters:
     def test_mesh_svg(self, tmp_path):
@@ -232,13 +270,3 @@ class TestWriters:
         assert "mesh_c1_t0.25.svg" in names
         assert "mesh_c1_t0.25.vtk" in names
         assert "field_c1_t0.25.vtk" in names
-
-
-class TestThreadEnv:
-    def test_thread_env_does_not_change_results(self, monkeypatch):
-        cfg = RunConfig(problem="example1", mode="uniform", h0=0.25, dt=0.1,
-                        T_final=0.5)
-        base = run_timeloop(cfg)
-        monkeypatch.setenv("EG_ADAPT_THREADS", "4")
-        threaded = run_timeloop(cfg)
-        assert [r.eta_total for r in base] == [r.eta_total for r in threaded]

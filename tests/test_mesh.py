@@ -95,6 +95,14 @@ class TestCoarsen:
         c = r.coarsen(list(r.active_ids)[:3])
         assert sorted(c.active_ids) == sorted(r.active_ids)
 
+    def test_unhonoured_marks_return_same_mesh(self):
+        m = build_initial(DomainShape.UNIT_SQUARE, 0.5)
+        r = m.refine([m.active_ids[0]])
+        assert r.coarsen(list(r.active_ids)[:3]) is r   # incomplete quadruple
+        assert m.coarsen(list(m.active_ids)) is m        # root cells
+        with pytest.raises(MeshError):
+            r.coarsen([m.active_ids[0]])                 # no longer active
+
     def test_blocked_by_one_irregularity(self):
         # coarsening a quad is refused if a neighbor would end up 2 levels finer
         m = build_initial(DomainShape.UNIT_SQUARE, 1.0)
