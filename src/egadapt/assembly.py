@@ -8,19 +8,25 @@ cells the edge length cancels against the gradient scaling, so with a
 constant-identity diffusion tensor each group of congruent edges shares a
 single local matrix.  Edges are grouped by (kind, minus side, plus-side
 sub-interval), cells are processed in one batch.
+
+Reference cell and edge tables are cached, read-only, per degree, side
+and sub-interval.  Each matrix is assembled in one pass: the nonzero local
+entries go into one triplet set sized up front, converted to CSR once.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .mesh import EdgeKind, SUB_FULL
+from .mesh import EdgeKind, Mesh, SUB_FULL
 from .quadrature import edge_rule
-from .space import DiscreteField, TransferredField, face_points, tabulate, _opposite
+from .space import DiscreteField, face_points, tabulate, _opposite
 
 
 class SolverError(RuntimeError):
@@ -60,35 +66,41 @@ class SparseSystem:
 # ----------------------------------------------------------------------
 # edge groups
 
+@lru_cache(maxsize=32)
+def _edge_tables(k, mside, psub):
+    """Read-only (Vm, Gm, Gnm, Vp, Gp, Gnp) at the edge rule's points:
+    values, reference gradients and normal derivatives of the basis on the
+    minus cell's face and on the plus cell's opposite (sub-)face."""
+    t = edge_rule(k).points
+    out = []
+    for side, sub in ((mside, SUB_FULL), (_opposite(mside), psub)):
+        V, G, _ = tabulate(k, face_points(side, sub, t))
+        out += [V, G, np.einsum("a,qai->qi", Mesh._NORMALS[mside], G)]
+    for a in out:
+        a.setflags(write=False)
+    return tuple(out)
+
+
 class _EdgeGroup:
-    """Edges sharing minus side, plus sub-interval and classification."""
+    """Edges sharing minus side, plus sub-interval and classification;
+    ``rows`` holds each edge's cell rows, minus then plus (if interior)."""
 
     def __init__(self, space, kind, mside, psub, edges):
         rule = edge_rule(space.k)
         self.kind = kind
-        self.mside = mside
-        self.psub = psub
-        self.t = rule.points
         self.w = rule.weights
-        self.edge_ids = np.array([e.id for e in edges])
         self.h = np.array([e.length for e in edges])
-        self.minus_rows = np.array([space.cell_row(e.minus_cell) for e in edges])
+        self.rows = np.array([[space.cell_row(c) for c in (e.minus_cell, e.plus_cell)
+                               if c is not None] for e in edges])
+        self.minus_rows = self.rows[:, 0]
+        self.plus_rows = self.rows[:, 1] if kind is EdgeKind.INTERIOR else None
+        self.fac = 1.0 if psub == SUB_FULL else 2.0
         self.normal = np.asarray(edges[0].normal)
         starts = np.array([(e.start.x, e.start.y) for e in edges])
         d = np.asarray(edges[0].direction)
-        self.P = starts[:, None, :] + self.h[:, None, None] * np.outer(self.t, d)
-        self.Vm, Gm, _ = tabulate(space.k, face_points(mside, SUB_FULL, self.t))
-        self.Gnm = np.einsum("a,qai->qi", self.normal, Gm)
-        self.Gm = Gm
-        if kind is EdgeKind.INTERIOR:
-            self.plus_rows = np.array([space.cell_row(e.plus_cell) for e in edges])
-            pside = _opposite(mside)
-            self.Vp, Gp, _ = tabulate(space.k, face_points(pside, psub, self.t))
-            self.Gnp = np.einsum("a,qai->qi", self.normal, Gp)
-            self.Gp = Gp
-            self.fac = 1.0 if psub == SUB_FULL else 2.0
-        else:
-            self.plus_rows = None
+        self.P = starts[:, None, :] + self.h[:, None, None] * np.outer(rule.points, d)
+        (self.Vm, self.Gm, self.Gnm,
+         self.Vp, self.Gp, self.Gnp) = _edge_tables(space.k, mside, psub)
 
     def kmax(self, K):
         """Max-abs diffusion entry over the edge quadrature points, per edge."""
@@ -114,102 +126,86 @@ def edge_groups(space):
 # ----------------------------------------------------------------------
 # matrices
 
-def _scatter(space, rows_cells, data):
-    """Accumulate per-entity local matrices into a global CSR matrix."""
-    n = space.n_dofs
-    rows = np.repeat(rows_cells, rows_cells.shape[1], axis=1).ravel()
-    cols = np.tile(rows_cells, (1, rows_cells.shape[1])).ravel()
-    mat = sparse.coo_matrix((data.ravel(), (rows, cols)), shape=(n, n))
-    return mat.tocsr()
+def _to_csr(n, dofs, data):
+    """Sum blocks into one n x n CSR matrix: ``dofs`` lists each block's
+    global indices (E, m), ``data`` yields its (E, m, m) or shared (1, m, m)
+    local matrices (test, trial), written into the triplets as they come,
+    less the entries that are zero on every entity of the block."""
+    size = sum(d.shape[0] * d.shape[1] ** 2 for d in dofs)
+    rows, cols = np.empty((2, size), dtype=np.int32)
+    vals = np.empty(size)
+    pos = 0
+    for d, loc in zip(dofs, data):
+        i, j = np.nonzero(np.any(loc, axis=0))
+        end = pos + len(d) * len(i)
+        rows[pos:end] = d[:, i].ravel()
+        cols[pos:end] = d[:, j].ravel()
+        vals[pos:end].reshape(len(d), -1)[...] = loc[:, i, j]
+        pos = end
+    return sparse.csr_matrix((vals[:pos], (rows[:pos], cols[:pos])), shape=(n, n))
+
+
+def _stiffness_data(space, K):
+    t = space.tables
+    if K is None:
+        return np.einsum("q,qai,qaj->ij", t.w, t.G, t.G)[None]
+    Kv = np.asarray(K(t.X[..., 0], t.X[..., 1]), dtype=float)
+    return np.einsum("q,cqab,qai,qbj->cij", t.w, Kv, t.G, t.G)
 
 
 def assemble_stiffness(space, K=None):
     """Cell diffusion block sum_T (K grad p, grad w)_T (no edge terms)."""
-    t = space.tables
-    if K is None:
-        ref = np.einsum("q,qai,qaj->ij", t.w, t.G, t.G)
-        data = np.broadcast_to(ref, (len(t.sides),) + ref.shape)
-    else:
-        Kv = np.asarray(K(t.X[..., 0], t.X[..., 1]), dtype=float)
-        data = np.einsum("q,cqab,qai,qbj->cij", t.w, Kv, t.G, t.G)
-    return _scatter(space, space.cell_dofs, np.ascontiguousarray(data))
+    return _to_csr(space.n_dofs, [space.cell_dofs], [_stiffness_data(space, K)])
 
 
 def assemble_mass(space):
     """Gram matrix of the full EG basis, constants included."""
     t = space.tables
     ref = np.einsum("q,qi,qj->ij", t.w, t.N, t.N)
-    data = t.sides[:, None, None] ** 2 * ref
-    return _scatter(space, space.cell_dofs, data)
+    return _to_csr(space.n_dofs, [space.cell_dofs],
+                   [t.sides[:, None, None] ** 2 * ref])
 
 
-def _interior_edge_data(group, K, penalty):
+def _edge_data(group, K, penalty):
+    """Local matrices of an interior or Dirichlet edge group.
+
+    On Dirichlet edges jump and average collapse to the one-sided trace.
+    Normal fluxes are taken on the reference edge, where the edge length
+    cancels against the gradient scaling.
+    """
     w, th, al = group.w, penalty.theta, penalty.alpha
-    J = np.hstack([group.Vm, -group.Vp])
+    interior = group.kind is EdgeKind.INTERIOR
+    J = np.hstack([group.Vm, -group.Vp]) if interior else group.Vm
     if K is None:
-        AGb = 0.5 * np.hstack([group.Gnm, group.Gnp / group.fac])
-        Lflux = -(J * w[:, None]).T @ AGb + th * (AGb * w[:, None]).T @ J
-        Lpen = (J * w[:, None]).T @ J
-        data = Lflux[None] + al * group.kmax(K)[:, None, None] * Lpen
+        fm, fp = group.Gnm[None], group.Gnp[None]
     else:
         Kv = np.asarray(K(group.P[..., 0], group.P[..., 1]), dtype=float)
-        n = group.normal
-        fm = np.einsum("a,eqab,qbi->eqi", n, Kv, group.Gm) / group.h[:, None, None]
-        fp = (np.einsum("a,eqab,qbi->eqi", n, Kv, group.Gp)
-              / (group.fac * group.h[:, None, None]))
-        AG = 0.5 * np.concatenate([fm, fp], axis=2)
-        hw = group.h[:, None] * w
-        data = (-np.einsum("eq,qi,eqj->eij", hw, J, AG)
-                + th * np.einsum("eq,eqi,qj->eij", hw, AG, J)
-                + al * group.kmax(K)[:, None, None]
-                * np.einsum("q,qi,qj->ij", w, J, J))
-    return data
+        fm = np.einsum("a,eqab,qbi->eqi", group.normal, Kv, group.Gm)
+        fp = np.einsum("a,eqab,qbi->eqi", group.normal, Kv, group.Gp)
+    avg = 0.5 * np.concatenate([fm, fp / group.fac], axis=2) if interior else fm
+    return (-np.einsum("q,qi,eqj->eij", w, J, avg)
+            + th * np.einsum("q,eqi,qj->eij", w, avg, J)
+            + al * group.kmax(K)[:, None, None]
+            * np.einsum("q,qi,qj->ij", w, J, J))
 
 
-def _edge_group_matrix(space, group, K, penalty):
-    if group.kind is EdgeKind.NEUMANN:
-        return None
-    if group.kind is EdgeKind.INTERIOR:
-        data = _interior_edge_data(group, K, penalty)
-        dm = space.cell_dofs[group.minus_rows]
-        dp = space.cell_dofs[group.plus_rows]
-        dofs = np.hstack([dm, dp])
-        return dofs, data
-    # Dirichlet: jump and average collapse to the one-sided trace
-    w, th, al = group.w, penalty.theta, penalty.alpha
-    V = group.Vm
-    if K is None:
-        Lflux = -(V * w[:, None]).T @ group.Gnm + th * (group.Gnm * w[:, None]).T @ V
-        Lpen = (V * w[:, None]).T @ V
-        data = Lflux[None] + al * group.kmax(K)[:, None, None] * Lpen
-    else:
-        Kv = np.asarray(K(group.P[..., 0], group.P[..., 1]), dtype=float)
-        f = (np.einsum("a,eqab,qbi->eqi", group.normal, Kv, group.Gm)
-             / group.h[:, None, None])
-        hw = group.h[:, None] * w
-        data = (-np.einsum("eq,qi,eqj->eij", hw, V, f)
-                + th * np.einsum("eq,eqi,qj->eij", hw, f, V)
-                + al * group.kmax(K)[:, None, None]
-                * np.einsum("q,qi,qj->ij", w, V, V))
-    return space.cell_dofs[group.minus_rows], data
+def _edge_blocks(space, K, penalty):
+    """Dofs and a generator of local matrices of the non-Neumann groups."""
+    groups = [g for g in edge_groups(space) if g.kind is not EdgeKind.NEUMANN]
+    return ([space.cell_dofs[g.rows].reshape(len(g.h), -1) for g in groups],
+            (_edge_data(g, K, penalty) for g in groups))
 
 
 def assemble_edge_terms(space, K, penalty):
     """Interior and Dirichlet edge contributions to the bilinear form."""
-    n = space.n_dofs
-    total = sparse.csr_matrix((n, n))
-    for g in edge_groups(space):
-        part = _edge_group_matrix(space, g, K, penalty)
-        if part is None:
-            continue
-        dofs, data = part
-        total = total + _scatter(space, dofs, np.ascontiguousarray(data))
-    return total
+    return _to_csr(space.n_dofs, *_edge_blocks(space, K, penalty))
 
 
 def assemble_A_theta(space, K=None, penalty=PenaltySpec()):
     """Full spatial bilinear form: diffusion plus interior-penalty terms."""
-    return assemble_stiffness(space, K) + assemble_edge_terms(space, K, penalty)
+    dofs, data = _edge_blocks(space, K, penalty)
+    return _to_csr(space.n_dofs, [space.cell_dofs] + dofs,
+                   itertools.chain([_stiffness_data(space, K)], data))
 
 
 def edge_matrix(space, edge, K=None, penalty=PenaltySpec()):
@@ -219,13 +215,10 @@ def edge_matrix(space, edge, K=None, penalty=PenaltySpec()):
     dofs and matrix indexed (test, trial).
     """
     group = _EdgeGroup(space, edge.kind, edge.minus_side, edge.plus_sub, [edge])
-    part = _edge_group_matrix(space, group, K, penalty)
-    if part is None:
-        nloc = space.cell_dofs.shape[1]
-        return (space.cell_dofs[space.cell_row(edge.minus_cell)],
-                np.zeros((nloc, nloc)))
-    dofs, data = part
-    return dofs[0], data[0]
+    dofs = space.cell_dofs[group.rows[0]].ravel()
+    if edge.kind is EdgeKind.NEUMANN:
+        return dofs, np.zeros((len(dofs), len(dofs)))
+    return dofs, _edge_data(group, K, penalty)[0]
 
 
 # ----------------------------------------------------------------------
@@ -234,9 +227,9 @@ def edge_matrix(space, edge, K=None, penalty=PenaltySpec()):
 def assemble_rhs(space, problem, t_n, penalty=PenaltySpec(), prev=None, dt=None):
     """Load vector: source, boundary data and optional previous-step mass term.
 
-    ``prev`` may be a (ncells, nq) array of previous-solution values at the
-    cell quadrature points, or any evaluator with ``cell_values()``; with
-    ``prev`` given, ``dt`` must be the time step.
+    ``prev`` is a (ncells, nq) array of previous-solution values at the
+    cell quadrature points; with ``prev`` given, ``dt`` must be the time
+    step.
     """
     tb = space.tables
     b = np.zeros(space.n_dofs)
@@ -245,9 +238,6 @@ def assemble_rhs(space, problem, t_n, penalty=PenaltySpec(), prev=None, dt=None)
     if prev is not None:
         if dt is None:
             raise ValueError("dt is required when a previous state is supplied")
-        if isinstance(prev, (DiscreteField, TransferredField)):
-            prev = (prev.cell_values() if isinstance(prev, TransferredField)
-                    else prev.cell_values(0))
         F = F + np.asarray(prev) / dt
     bloc = np.einsum("q,cq,qi->ci", tb.w, F, tb.N) * tb.sides[:, None] ** 2
     np.add.at(b, space.cell_dofs, bloc)

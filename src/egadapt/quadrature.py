@@ -46,6 +46,7 @@ def _count(k):
     return max(k + 2, 4)
 
 
+@lru_cache(maxsize=2)
 def cell_rule(k):
     """Tensor-product rule on [0,1]^2 for degree-k elements (k in {1,2})."""
     if k not in (1, 2):

@@ -97,6 +97,15 @@ def face_points(side, sub, t):
     return np.column_stack([m, one])
 
 
+@lru_cache(maxsize=2)
+def _cell_basis(k):
+    """Basis tables at the degree-k cell rule's points, shared read-only."""
+    tables = tabulate(k, cell_rule(k).points)
+    for a in tables:
+        a.setflags(write=False)
+    return tables
+
+
 @lru_cache(maxsize=8)
 def _q2_trace_weights(t):
     n, _, _ = shape_1d(2, np.array([t]))
@@ -273,7 +282,7 @@ class _CellTables:
         mesh = space.mesh
         rule = cell_rule(space.k)
         self.rule = rule
-        self.N, self.G, self.H = tabulate(space.k, rule.points)
+        self.N, self.G, self.H = _cell_basis(space.k)
         self.w = rule.weights
         cells = [mesh.cell(cid) for cid in mesh.active_ids]
         self.sides = np.array([c.side for c in cells])

@@ -7,12 +7,22 @@ from egadapt import (CondensedSolver, DiscreteField, DomainShape, EGSpace,
                      assemble_A_theta, assemble_mass, assemble_rhs,
                      assemble_stiffness, broken_h1_error, build_initial,
                      edge_matrix, galerkin_residual, interpolate, smoke_linear)
+from egadapt.assembly import edge_groups
 
 from conftest import random_adaptive_mesh
 
 
 def single_cell_space(k=1):
     return EGSpace(build_initial(DomainShape.UNIT_SQUARE, 1.0), k)
+
+
+def varying_K(x, y):
+    """Varying symmetric positive definite diffusion tensor on [-1, 1]^2."""
+    out = np.zeros(np.shape(x) + (2, 2))
+    out[..., 0, 0] = 2.0 + x
+    out[..., 1, 1] = 2.0 + y
+    out[..., 0, 1] = out[..., 1, 0] = 0.3 * x * y
+    return out
 
 
 class TestElementMatrices:
@@ -85,10 +95,12 @@ class TestEdgeTerms:
 
     def test_sipg_symmetry_random_mesh(self):
         m = random_adaptive_mesh(rounds=2, seed=8)
-        s = EGSpace(m, 1)
-        A = assemble_A_theta(s, None, PenaltySpec(2.0, -1))
-        d = (A - A.T).tocoo()
-        assert np.max(np.abs(d.data)) if d.nnz else 0.0 <= 1e-12
+        for k in (1, 2):
+            for K in (None, varying_K):
+                A = assemble_A_theta(EGSpace(m, k), K, PenaltySpec(2.0, -1))
+                d = (A - A.T).tocoo()
+                asym = (np.max(np.abs(d.data)) if d.nnz else 0.0) / np.max(np.abs(A.data))
+                assert asym <= 1e-12, f"k={k}, K={K}: asymmetry {asym:.2e}"
 
     def test_penalty_monotonicity(self):
         m = build_initial(DomainShape.L_SHAPE, 1.0)
@@ -141,6 +153,57 @@ class TestEdgeTerms:
             err = broken_h1_error(sol, lambda x, y: x + y,
                                   lambda x, y: (np.ones_like(x), np.ones_like(x)))
             assert err <= 1e-10, f"theta={theta}: err={err:.2e}"
+
+
+def per_edge_oracle(space, K, penalty):
+    """assemble_stiffness plus every edge's edge_matrix, one edge at a time.
+
+    np.add.at, not ``ref[np.ix_(d, d)] += L``: an interior edge's dof list
+    repeats the CG nodes its two cells share, and fancy-index ``+=`` keeps
+    only one of the repeated contributions.
+    """
+    ref = assemble_stiffness(space, K).toarray()
+    for e in space.mesh.edges:
+        dofs, L = edge_matrix(space, e, K, penalty)
+        np.add.at(ref, (dofs[:, None], dofs[None, :]), L)
+    return ref
+
+
+ORACLE_MESHES = {
+    "hanging_lshape": lambda: random_adaptive_mesh(rounds=2, seed=5),
+    "square_neumann_top_left": lambda: random_adaptive_mesh(
+        DomainShape.UNIT_SQUARE, 0.25, rounds=1, seed=2,
+        partition={"left": "N", "top": "N", "right": "D", "bottom": "D"}),
+}
+
+
+class TestGlobalAssembly:
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("mesh", sorted(ORACLE_MESHES))
+    def test_matches_per_edge_oracle(self, mesh, k):
+        s = EGSpace(ORACLE_MESHES[mesh](), k)
+        for K in (None, varying_K):
+            for theta in (-1, 0, 1):
+                pen = PenaltySpec(1.5, theta)
+                A = assemble_A_theta(s, K, pen)
+                assert A.format == "csr" and A.shape == (s.n_dofs, s.n_dofs)
+                ref = per_edge_oracle(s, K, pen)
+                err = np.max(np.abs(A.toarray() - ref)) / np.max(np.abs(ref))
+                assert err <= 1e-13, f"K={K}, theta={theta}: {err:.2e}"
+
+    def test_reference_tables_shared_and_read_only(self):
+        m = random_adaptive_mesh(seed=3)
+        other = build_initial(DomainShape.L_SHAPE, 0.5)
+        for k in (1, 2):
+            a, b, c = EGSpace(m, k), EGSpace(other, k), EGSpace(m, k)
+            cell = [(getattr(a.tables, n), getattr(b.tables, n)) for n in "NGH"]
+            edge = [(getattr(g, n), getattr(h, n))
+                    for g, h in zip(edge_groups(a), edge_groups(c))
+                    for n in ("Vm", "Gm", "Gnm", "Vp", "Gp", "Gnp")]
+            for x, y in cell + edge:
+                assert x is y
+                with pytest.raises(ValueError):
+                    x[(0,) * x.ndim] = 1.0
 
 
 class TestRhs:
