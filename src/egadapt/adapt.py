@@ -48,7 +48,7 @@ class AdaptParams:
     coarsen_rule: str = "threshold"   # or "fraction" (lowest-fraction variant)
 
     def __post_init__(self):
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ValueError("tau must be positive")
         if not 0.0 <= self.theta_coarse < 1.0:
             raise ValueError("theta_coarse must lie in [0, 1)")

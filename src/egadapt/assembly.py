@@ -17,6 +17,7 @@ entries go into one triplet set sized up front, converted to CSR once.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,22 +46,11 @@ class PenaltySpec:
     theta: int = 0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"penalty alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"penalty alpha must be positive and finite, "
+                             f"got {self.alpha}")
         if self.theta not in (-1, 0, 1):
             raise ValueError(f"theta must be -1, 0 or 1, got {self.theta}")
-
-
-@dataclass
-class SparseSystem:
-    """One assembled linear system."""
-
-    matrix: sparse.csr_matrix
-    rhs: np.ndarray
-
-    @property
-    def dimension(self):
-        return self.matrix.shape[0]
 
 
 # ----------------------------------------------------------------------
@@ -102,12 +92,16 @@ class _EdgeGroup:
         (self.Vm, self.Gm, self.Gnm,
          self.Vp, self.Gp, self.Gnp) = _edge_tables(space.k, mside, psub)
 
-    def kmax(self, K):
-        """Max-abs diffusion entry over the edge quadrature points, per edge."""
+    def conormal(self, K):
+        """(fm, fp, kmax): n . K grad of the basis on the reference edge from
+        the minus and the plus side, (E, nq, nloc) or a shared (1, nq, nloc),
+        and the max-abs diffusion entry over each edge's quadrature points."""
         if K is None:
-            return np.ones(len(self.h))
+            return self.Gnm[None], self.Gnp[None], np.ones(len(self.h))
         Kv = np.asarray(K(self.P[..., 0], self.P[..., 1]), dtype=float)
-        return np.max(np.abs(Kv).reshape(len(self.h), -1), axis=1)
+        return (np.einsum("a,eqab,qbi->eqi", self.normal, Kv, self.Gm),
+                np.einsum("a,eqab,qbi->eqi", self.normal, Kv, self.Gp),
+                np.max(np.abs(Kv).reshape(len(self.h), -1), axis=1))
 
 
 def edge_groups(space):
@@ -176,16 +170,11 @@ def _edge_data(group, K, penalty):
     w, th, al = group.w, penalty.theta, penalty.alpha
     interior = group.kind is EdgeKind.INTERIOR
     J = np.hstack([group.Vm, -group.Vp]) if interior else group.Vm
-    if K is None:
-        fm, fp = group.Gnm[None], group.Gnp[None]
-    else:
-        Kv = np.asarray(K(group.P[..., 0], group.P[..., 1]), dtype=float)
-        fm = np.einsum("a,eqab,qbi->eqi", group.normal, Kv, group.Gm)
-        fp = np.einsum("a,eqab,qbi->eqi", group.normal, Kv, group.Gp)
+    fm, fp, kmax = group.conormal(K)
     avg = 0.5 * np.concatenate([fm, fp / group.fac], axis=2) if interior else fm
     return (-np.einsum("q,qi,eqj->eij", w, J, avg)
             + th * np.einsum("q,eqi,qj->eij", w, avg, J)
-            + al * group.kmax(K)[:, None, None]
+            + al * kmax[:, None, None]
             * np.einsum("q,qi,qj->ij", w, J, J))
 
 
@@ -196,29 +185,11 @@ def _edge_blocks(space, K, penalty):
             (_edge_data(g, K, penalty) for g in groups))
 
 
-def assemble_edge_terms(space, K, penalty):
-    """Interior and Dirichlet edge contributions to the bilinear form."""
-    return _to_csr(space.n_dofs, *_edge_blocks(space, K, penalty))
-
-
 def assemble_A_theta(space, K=None, penalty=PenaltySpec()):
     """Full spatial bilinear form: diffusion plus interior-penalty terms."""
     dofs, data = _edge_blocks(space, K, penalty)
     return _to_csr(space.n_dofs, [space.cell_dofs] + dofs,
                    itertools.chain([_stiffness_data(space, K)], data))
-
-
-def edge_matrix(space, edge, K=None, penalty=PenaltySpec()):
-    """Local matrix of a single edge's contribution (for inspection/tests).
-
-    Returns (dofs, matrix) with dofs the concatenated minus(+plus) cell
-    dofs and matrix indexed (test, trial).
-    """
-    group = _EdgeGroup(space, edge.kind, edge.minus_side, edge.plus_sub, [edge])
-    dofs = space.cell_dofs[group.rows[0]].ravel()
-    if edge.kind is EdgeKind.NEUMANN:
-        return dofs, np.zeros((len(dofs), len(dofs)))
-    return dofs, _edge_data(group, K, penalty)[0]
 
 
 # ----------------------------------------------------------------------
@@ -255,14 +226,11 @@ def assemble_rhs(space, problem, t_n, penalty=PenaltySpec(), prev=None, dt=None)
             gd = np.broadcast_to(
                 np.asarray(problem.g_D(g.P[..., 0], g.P[..., 1], t_n), float),
                 g.P.shape[:2])
-            kmax = g.kmax(problem.K)
+            fm, _, kmax = g.conormal(problem.K)
             if problem.K is None:
                 flux = np.einsum("q,eq,qi->ei", g.w, gd, g.Gnm)
             else:
-                Kv = np.asarray(problem.K(g.P[..., 0], g.P[..., 1]), float)
-                f = (np.einsum("a,eqab,qbi->eqi", g.normal, Kv, g.Gm)
-                     / g.h[:, None, None])
-                flux = np.einsum("e,q,eq,eqi->ei", g.h, g.w, gd, f)
+                flux = np.einsum("q,eq,eqi->ei", g.w, gd, fm)
             pen = np.einsum("e,q,eq,qi->ei", al * kmax, g.w, gd, g.Vm)
             bloc = th * flux + pen
         np.add.at(b, space.cell_dofs[g.minus_rows], bloc)
@@ -282,37 +250,32 @@ class CondensedSolver:
 
     The continuous part and the cellwise constants overlap in the global
     constants (the sum defining the space is not direct), which makes the
-    raw matrices rank-deficient by one.  With ``pin_constant`` the solver
-    additionally fixes the first cell's constant to zero, selecting the
-    unique coefficient representative of each solution; the discrete
-    space, and therefore the computed function, is unchanged.
+    raw matrices rank-deficient by one.  The solver therefore always fixes
+    the first cell's constant to zero, selecting the unique coefficient
+    representative of each solution; the discrete space, and therefore the
+    computed function, is unchanged.  That constant is never a hanging
+    slave, so the condensation map always exists.
 
     ``key`` is stored as given; callers that keep the factor across
     solves use it to record what the matrix was assembled from.
     """
 
-    def __init__(self, matrix, space, residual_tol=1e-11, pin_constant=True,
-                 key=None):
+    #: relative residual a solve must reach after iterative refinement
+    residual_tol = 1e-11
+
+    def __init__(self, matrix, space, key=None):
         self.space = space
-        self.residual_tol = residual_tol
         self.key = key
-        pins = []
-        if pin_constant and space.n_const > 0 \
-                and space.n_cg not in space.constraints:
-            pins.append(space.n_cg)
-        self.slaves = sorted(set(space.constraints) | set(pins))
-        if self.slaves:
-            # the space's constraint map with the pinned rows zeroed
-            keep = np.ones(space.n_dofs)
-            keep[pins] = 0.0
-            C = (sparse.diags(keep) @ space.constraint_matrix).tocsr()
-            diag = np.zeros(space.n_dofs)
-            diag[self.slaves] = 1.0
-            self.matrix_c = (C.T @ matrix @ C + sparse.diags(diag)).tocsc()
-            self.C = C
-        else:
-            self.matrix_c = matrix.tocsc()
-            self.C = None
+        pin = space.n_cg
+        self.slaves = sorted(set(space.constraints) | {pin})
+        # the space's constraint map with the pinned row zeroed
+        keep = np.ones(space.n_dofs)
+        keep[pin] = 0.0
+        C = (sparse.diags(keep) @ space.constraint_matrix).tocsr()
+        diag = np.zeros(space.n_dofs)
+        diag[self.slaves] = 1.0
+        self.matrix_c = (C.T @ matrix @ C + sparse.diags(diag)).tocsc()
+        self.C = C
         try:
             self.lu = splu(self.matrix_c)
         except RuntimeError as exc:
@@ -321,7 +284,7 @@ class CondensedSolver:
                 f"{exc}") from exc
 
     def solve(self, rhs):
-        bc = self.C.T @ rhs if self.C is not None else rhs
+        bc = self.C.T @ rhs
         x = self.lu.solve(bc)
         scale = np.linalg.norm(bc)
         # a couple of iterative-refinement sweeps keep the residual at the
@@ -338,14 +301,12 @@ class CondensedSolver:
                 raise SolverError(
                     f"solver residual {res:.3e} exceeds tolerance "
                     f"{self.residual_tol:.1e} (|rhs| = {scale:.3e})")
-        return self.C @ x if self.C is not None else x
+        return self.C @ x
 
 
-def apply_constraints_and_solve(matrix, rhs, space, residual_tol=1e-11,
-                                pin_constant=True):
+def apply_constraints_and_solve(matrix, rhs, space):
     """Condense hanging constraints, solve by sparse LU, rebuild slaves."""
-    solver = CondensedSolver(matrix, space, residual_tol, pin_constant)
-    return DiscreteField(space, solver.solve(rhs))
+    return DiscreteField(space, CondensedSolver(matrix, space).solve(rhs))
 
 
 def galerkin_residual(matrix, rhs, field):

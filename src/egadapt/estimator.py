@@ -20,16 +20,14 @@ as independent edges with their own length.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import edge_groups
 from .mesh import EdgeKind, SQRT2
-from .quadrature import edge_rule, map_to_edge
-from .space import (DiscreteField, TransferredField, flux_jump_average,
-                    jump_average)
+# unused here, but perfbench/tracing.py wraps this name and fails without it
+from .quadrature import edge_rule  # noqa: F401
 
 
 @dataclass
@@ -59,9 +57,6 @@ class CellIndicators:
         """Plain sum of the local indicators."""
         return float(np.sum(self.eta_T))
 
-    def as_dict(self):
-        return dict(zip(self.cell_ids, self.eta_T))
-
 
 @dataclass
 class StepReport:
@@ -80,31 +75,6 @@ class StepReport:
     adapt_iters: int = 0
 
 
-# ----------------------------------------------------------------------
-# combination formulas
-
-def local_eta_T(eta1, interior=(), neumann=(), dirichlet=(), alpha=1.0):
-    """Combine one cell's indicator components into eta_T.
-
-    ``interior`` lists (eta2, eta4) pairs for the cell's interior edges,
-    ``neumann`` the eta3 values, ``dirichlet`` the eta5 values.
-    """
-    acc = eta1 ** 2
-    for e2, e4 in interior:
-        acc += 0.5 * (alpha * e2 ** 2 + e4 ** 2)
-    for e3 in neumann:
-        acc += e3 ** 2
-    for e5 in dirichlet:
-        acc += alpha * e5 ** 2
-    return math.sqrt(acc)
-
-
-def total_eta(eta_Ts):
-    """Mesh-wide indicator: root-sum-square of the local values."""
-    arr = np.asarray(list(eta_Ts), dtype=float)
-    return float(np.sqrt(np.sum(arr ** 2)))
-
-
 def effectivity(eta_linf, error_linf):
     """Ratio of the accumulated estimator to the accumulated error.
 
@@ -118,93 +88,38 @@ def effectivity(eta_linf, error_linf):
 
 
 # ----------------------------------------------------------------------
-# per-entity computations (reference path; the batched path mirrors these)
-
-def _prev_values_at(prev, pts):
-    if prev is None:
-        return np.zeros(len(pts))
-    if isinstance(prev, DiscreteField):
-        return np.array([prev.value(x, y) for x, y in pts])
-    if isinstance(prev, TransferredField):
-        return prev.values(pts)
-    return np.asarray(prev(pts[:, 0], pts[:, 1]), dtype=float)
-
-
-def _divergence_k_grad(field, cid, ref_pts, K, K_grad, fd_step):
-    """div(K grad p_h) at reference points of one cell."""
-    c = field.space.mesh.cell(cid)
-    _, grads, hess = field.evaluate(cid, ref_pts)
-    if K is None:
-        return hess[:, 0, 0] + hess[:, 1, 1]
-    pts = np.array([c.x0, c.y0]) + c.side * np.atleast_2d(ref_pts)
-    x, y = pts[:, 0], pts[:, 1]
-    Kv = np.asarray(K(x, y), dtype=float)
-    second = np.einsum("qab,qab->q", Kv, hess)
-    if K_grad is not None:
-        dK = np.asarray(K_grad(x, y), dtype=float)   # (q, 2, 2, 2): d_a K_ij
-    else:
-        step = fd_step * c.diameter
-        dK = np.empty((len(x), 2, 2, 2))
-        dK[:, 0] = (np.asarray(K(x + step, y), float)
-                    - np.asarray(K(x - step, y), float)) / (2 * step)
-        dK[:, 1] = (np.asarray(K(x, y + step), float)
-                    - np.asarray(K(x, y - step), float)) / (2 * step)
-    first = np.einsum("qaab,qb->q", dK, grads)
-    return first + second
-
-
-def cell_residual_eta1(field, cid, prev, f, dt, t_n, K=None, K_grad=None,
-                       fd_step=1e-6):
-    """Cell residual indicator for one cell.
-
-    ``prev`` is the previous-step evaluator (field, transferred field or
-    vectorized callable); ``f`` is the source f(x, y, t).
-    """
-    space = field.space
-    c = space.mesh.cell(cid)
-    tb = space.tables
-    ref = tb.rule.points
-    pts = np.array([c.x0, c.y0]) + c.side * ref
-    vals, _, _ = field.evaluate(cid, ref)
-    resid = np.asarray(f(pts[:, 0], pts[:, 1], t_n), dtype=float) \
-        + _divergence_k_grad(field, cid, ref, K, K_grad, fd_step) \
-        - (vals - _prev_values_at(prev, pts)) / dt
-    norm_sq = c.side ** 2 * np.sum(tb.w * resid ** 2)
-    return c.diameter ** 2 * math.sqrt(norm_sq)
-
-
-def edge_indicators(field, edge, t_n, K=None, g_N=None, g_D=None):
-    """Edge indicators applicable to one edge, as a dict.
-
-    Interior edges yield {'eta2', 'eta4'}; Neumann edges {'eta3'};
-    Dirichlet edges {'eta5'}.
-    """
-    rule = edge_rule(field.space.k)
-    pts, w = map_to_edge(rule, edge)
-    h = edge.length
-    if K is None:
-        kmax = 1.0
-    else:
-        Kv = np.asarray(K(pts[:, 0], pts[:, 1]), dtype=float)
-        kmax = float(np.max(np.abs(Kv)))
-    if edge.kind is EdgeKind.INTERIOR:
-        fj, _ = flux_jump_average(field, edge, rule.points, K)
-        vj, _ = jump_average(field, edge, rule.points)
-        return {
-            "eta2": h ** 1.5 * math.sqrt(np.sum(w * fj ** 2)),
-            "eta4": kmax * h ** 0.5 * math.sqrt(np.sum(w * vj ** 2)),
-        }
-    if edge.kind is EdgeKind.NEUMANN:
-        _, favg = flux_jump_average(field, edge, rule.points, K)
-        gn = np.asarray(g_N(pts[:, 0], pts[:, 1], t_n), dtype=float)
-        return {"eta3": h ** 1.5 * math.sqrt(np.sum(w * (gn + favg) ** 2))}
-    _, vavg = jump_average(field, edge, rule.points)
-    gd = np.asarray(g_D(pts[:, 0], pts[:, 1], t_n), dtype=float)
-    return {"eta5": kmax * h ** 0.5 * math.sqrt(np.sum(w * (gd - vavg) ** 2))}
-
-
-# ----------------------------------------------------------------------
 # batched computation over a whole mesh
+
+def _div_k_grad(field, K, K_grad):
+    """div(K grad p_h) at the cell quadrature points, shape (ncells, nq).
+
+    Without ``K_grad`` the derivatives of K are central differences with a
+    step of 1e-6 times the cell diameter.
+    """
+    tb = field.space.tables
+    x, y = tb.X[..., 0], tb.X[..., 1]
+    Kv = np.asarray(K(x, y), dtype=float)
+    if K_grad is not None:
+        dK = np.asarray(K_grad(x, y), dtype=float)   # (c, q, 2, 2, 2): d_a K_ij
+    else:
+        step = (1e-6 * (tb.sides * SQRT2))[:, None]
+        den = (2 * step)[..., None, None]
+        dK = np.empty(x.shape + (2, 2, 2))
+        dK[..., 0, :, :] = (np.asarray(K(x + step, y), float)
+                            - np.asarray(K(x - step, y), float)) / den
+        dK[..., 1, :, :] = (np.asarray(K(x, y + step), float)
+                            - np.asarray(K(x, y - step), float)) / den
+    return (np.einsum("cqaab,cqb->cq", dK, field.cell_values(1))
+            + np.einsum("cqab,cqab->cq", Kv, field.cell_values(2)))
+
+
+def _normal_flux(table, C):
+    """n . K grad p_h at the edge points from a co-normal table: one matrix
+    product for a table shared by the group, else one per edge."""
+    if len(table) == 1:
+        return C @ table[0].T
+    return np.einsum("eqi,ei->eq", table, C)
+
 
 def compute_indicators(space, field, prev_vals, problem, t_n, dt, alpha):
     """All indicator components on one mesh in a single vectorized pass.
@@ -219,16 +134,11 @@ def compute_indicators(space, field, prev_vals, problem, t_n, dt, alpha):
     vals = field.cell_values(0)
     resid = np.broadcast_to(np.asarray(problem.f(X, Y, t_n), float), vals.shape) \
         - (vals - prev_vals) / dt
-    if problem.K is None:
-        if space.k == 2:
-            hess = field.cell_values(2)
-            resid = resid + hess[..., 0, 0] + hess[..., 1, 1]
-    else:
-        div = np.empty_like(vals)
-        for row, cid in enumerate(space.mesh.active_ids):
-            div[row] = _divergence_k_grad(field, cid, tb.rule.points,
-                                          problem.K, problem.K_grad, 1e-6)
-        resid = resid + div
+    if problem.K is not None:
+        resid = resid + _div_k_grad(field, problem.K, problem.K_grad)
+    elif space.k == 2:
+        hess = field.cell_values(2)
+        resid = resid + hess[..., 0, 0] + hess[..., 1, 1]
     norm_sq = tb.sides ** 2 * np.einsum("q,cq->c", tb.w, resid ** 2)
     eta1 = (SQRT2 * tb.sides) ** 2 * np.sqrt(norm_sq)
 
@@ -238,22 +148,12 @@ def compute_indicators(space, field, prev_vals, problem, t_n, dt, alpha):
     eta5_sq = np.zeros(ncells)
     coeffs = field.coeffs
     for g in edge_groups(space):
+        fm, fp, kmax = g.conormal(problem.K)
         Cm = coeffs[space.cell_dofs[g.minus_rows]]
-        if problem.K is None:
-            kmax = np.ones(len(g.h))
-            flux_m = (Cm @ g.Gnm.T) / g.h[:, None]
-        else:
-            kmax = g.kmax(problem.K)
-            Kv = np.asarray(problem.K(g.P[..., 0], g.P[..., 1]), float)
-            flux_m = np.einsum("a,eqab,qbi,ei->eq", g.normal, Kv, g.Gm, Cm) \
-                / g.h[:, None]
+        flux_m = _normal_flux(fm, Cm) / g.h[:, None]
         if g.kind is EdgeKind.INTERIOR:
             Cp = coeffs[space.cell_dofs[g.plus_rows]]
-            if problem.K is None:
-                flux_p = (Cp @ g.Gnp.T) / (g.fac * g.h[:, None])
-            else:
-                flux_p = np.einsum("a,eqab,qbi,ei->eq", g.normal, Kv, g.Gp, Cp) \
-                    / (g.fac * g.h[:, None])
+            flux_p = _normal_flux(fp, Cp) / (g.fac * g.h[:, None])
             fj = flux_m - flux_p
             vj = Cm @ g.Vm.T - Cp @ g.Vp.T
             e2sq = g.h ** 4 * (fj ** 2 @ g.w)

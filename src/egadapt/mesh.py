@@ -32,7 +32,6 @@ SQRT2 = math.sqrt(2.0)
 
 # local side indices, fixed order used throughout
 WEST, EAST, SOUTH, NORTH = 0, 1, 2, 3
-_SIDE_NAMES = ("west", "east", "south", "north")
 
 # sub-interval of the plus-side (coarse) face covered by a half-edge
 SUB_FULL, SUB_LOW, SUB_HIGH = 0, 1, 2
@@ -139,11 +138,6 @@ class Edge:
     def direction(self):
         """Unit vector along the edge parameterization."""
         return (0.0, 1.0) if self.minus_side in (WEST, EAST) else (1.0, 0.0)
-
-    def point_at(self, t):
-        dx, dy = self.direction
-        p0 = self.endpoints[0]
-        return Point2(p0.x + t * self.length * dx, p0.y + t * self.length * dy)
 
 
 def _validate_h0(h0):

@@ -21,8 +21,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import sparse
 
-from .mesh import (EAST, NORTH, SOUTH, SUB_FULL, SUB_HIGH, SUB_LOW, WEST,
-                   MeshError)
+from .mesh import EAST, NORTH, SOUTH, SUB_HIGH, SUB_LOW, WEST, MeshError
 from .quadrature import cell_rule
 
 
@@ -234,12 +233,6 @@ class EGSpace:
             self._C = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
         return self._C
 
-    def apply_constraints(self, coeffs):
-        """Overwrite slave entries with their master combinations (in place)."""
-        for s, terms in self.constraints.items():
-            coeffs[s] = sum(w * coeffs[m] for m, w in terms)
-        return coeffs
-
     # -- cached tabulations ----------------------------------------------
 
     @property
@@ -344,64 +337,13 @@ class DiscreteField:
                 / t.sides[:, None, None, None] ** 2)
 
 
-def build(mesh, k):
-    """Construct the EG space of degree k on a mesh."""
-    return EGSpace(mesh, k)
-
-
 def interpolate(space, fn):
     """Nodal interpolant of a scalar function: Lagrange values on the
     continuous part, zero constants, hanging nodes set consistently."""
     coeffs = np.zeros(space.n_dofs)
     xs, ys = space.node_coords[:, 0], space.node_coords[:, 1]
     coeffs[:space.n_cg] = np.broadcast_to(fn(xs, ys), xs.shape)
-    space.apply_constraints(coeffs)
-    return DiscreteField(space, coeffs)
-
-
-# ----------------------------------------------------------------------
-# traces, jumps and averages
-
-def _edge_trace(field, edge, t, side, sub, cid):
-    ref = face_points(side, sub, t)
-    return field.evaluate(cid, ref)
-
-
-def jump_average(field, edge, t):
-    """Jump and average of the field value at edge parameter t in [0,1].
-
-    On boundary edges both equal the trace from the adjacent cell.
-    """
-    vm, _, _ = _edge_trace(field, edge, t, edge.minus_side, SUB_FULL,
-                           edge.minus_cell)
-    if edge.plus_cell is None:
-        return vm.copy(), vm.copy()
-    vp, _, _ = _edge_trace(field, edge, t, _opposite(edge.minus_side),
-                           edge.plus_sub, edge.plus_cell)
-    return vm - vp, 0.5 * (vm + vp)
-
-
-def flux_jump_average(field, edge, t, K=None):
-    """Jump and average of n . K grad(field) at edge parameter t."""
-    n = np.asarray(edge.normal)
-    _, gm, _ = _edge_trace(field, edge, t, edge.minus_side, SUB_FULL,
-                           edge.minus_cell)
-    pts = np.column_stack([edge.start.x + np.asarray(t) * edge.length * edge.direction[0],
-                           edge.start.y + np.asarray(t) * edge.length * edge.direction[1]])
-    if K is None:
-        fm = gm @ n
-    else:
-        Kv = np.asarray(K(pts[:, 0], pts[:, 1]), dtype=float)
-        fm = np.einsum("a,qab,qb->q", n, Kv, gm)
-    if edge.plus_cell is None:
-        return fm.copy(), fm.copy()
-    _, gp, _ = _edge_trace(field, edge, t, _opposite(edge.minus_side),
-                           edge.plus_sub, edge.plus_cell)
-    if K is None:
-        fp = gp @ n
-    else:
-        fp = np.einsum("a,qab,qb->q", n, Kv, gp)
-    return fm - fp, 0.5 * (fm + fp)
+    return DiscreteField(space, space.constraint_matrix @ coeffs)
 
 
 # ----------------------------------------------------------------------
@@ -421,40 +363,23 @@ class TransferredField:
       value of the donor cell that contains it (piecewise donor values).
 
     A point on a midline belongs to the upper/right child (``>= 0.5``),
-    the tie rule of :meth:`Mesh.locate`, so :meth:`cell_values` and the
-    pointwise :meth:`value` agree.
+    the tie rule of :meth:`Mesh.locate`, so :meth:`cell_values` agrees
+    with the donor's :meth:`DiscreteField.value` at every point.
     """
 
     def __init__(self, field, target):
         self.field = field
-        self.src_space = field.space
-        self.src_mesh = field.space.mesh
-        self.target_space = target if isinstance(target, EGSpace) else None
-        self.target_mesh = target.mesh if isinstance(target, EGSpace) else target
+        self.target = target
 
-    def value(self, x, y):
-        return self.field.value(x, y)
-
-    def values(self, pts):
-        pts = np.atleast_2d(pts)
-        return np.array([self.field.value(x, y) for x, y in pts])
-
-    def cell_values(self, ref_pts=None):
-        """Donor values at reference points of every target active cell.
-
-        Defaults to the target space's cell quadrature points.  Returns an
-        array of shape (n_target_cells, n_points).
-        """
-        if self.target_space is None:
-            raise ValueError("cell_values requires a target EGSpace")
-        if ref_pts is None:
-            ref_pts = self.target_space.tables.rule.points
-        ref_pts = np.atleast_2d(np.asarray(ref_pts, dtype=float))
-        src, tgt = self.src_mesh, self.target_mesh
+    def cell_values(self):
+        """Donor values at the target space's cell quadrature points, shape
+        (n_target_cells, nq)."""
+        ref_pts = self.target.tables.rule.points
+        src, tgt = self.field.space.mesh, self.target.mesh
         if (src.shape, src.h0) != (tgt.shape, tgt.h0):
             raise MeshError("transfer needs meshes refined from one initial mesh")
-        k = self.src_space.k
-        dofs = self.src_space.cell_dofs
+        k = self.field.space.k
+        dofs = self.field.space.cell_dofs
         coeffs = self.field.coeffs
         out = np.empty((tgt.n_active, len(ref_pts)))
 
@@ -516,7 +441,8 @@ class TransferredField:
 
 
 def transfer(field, target):
-    """Evaluator for ``field`` on a mesh derived by refine/coarsen steps."""
+    """Evaluator for ``field`` on the EG space ``target``, whose mesh is
+    derived from the field's by refine/coarsen steps."""
     return TransferredField(field, target)
 
 

