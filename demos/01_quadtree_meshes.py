@@ -2,16 +2,12 @@
 
 Builds the L-shaped domain, refines toward the re-entrant corner, shows
 how 1-irregularity closure and sibling-quadruple coarsening behave, and
-writes an SVG sketch plus a legacy-VTK grid next to this script.
+writes an SVG sketch plus a legacy-VTK grid into the current directory.
 """
-
-import os
 
 import numpy as np
 
 from egadapt import DomainShape, build_initial, writers
-
-out = os.path.dirname(os.path.abspath(__file__))
 
 mesh = build_initial(DomainShape.L_SHAPE, 0.25)
 print(f"initial mesh: {mesh.n_active} cells, "
@@ -37,6 +33,6 @@ finest = [c.id for c in mesh.active_cells() if c.side == mesh.h_min]
 coarsened = mesh.coarsen(finest)
 print(f"coarsening the finest level: {mesh.n_active} -> {coarsened.n_active} cells")
 
-writers.mesh_svg(mesh, os.path.join(out, "corner_mesh.svg"))
-writers.mesh_vtk(mesh, os.path.join(out, "corner_mesh.vtk"))
+writers.mesh_svg(mesh, "corner_mesh.svg")
+writers.mesh_vtk(mesh, "corner_mesh.vtk")
 print("wrote corner_mesh.svg and corner_mesh.vtk")

@@ -25,9 +25,9 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .mesh import EdgeKind, Mesh, SUB_FULL
+from .mesh import EAST, KINDS, NORMALS, NORTH, SUB_FULL, EdgeKind
 from .quadrature import edge_rule
-from .space import DiscreteField, face_points, tabulate, _opposite
+from .space import DiscreteField, face_points, tabulate
 
 
 class SolverError(RuntimeError):
@@ -63,31 +63,36 @@ def _edge_tables(k, mside, psub):
     minus cell's face and on the plus cell's opposite (sub-)face."""
     t = edge_rule(k).points
     out = []
-    for side, sub in ((mside, SUB_FULL), (_opposite(mside), psub)):
+    for side, sub in ((mside, SUB_FULL), (mside ^ 1, psub)):
         V, G, _ = tabulate(k, face_points(side, sub, t))
-        out += [V, G, np.einsum("a,qai->qi", Mesh._NORMALS[mside], G)]
+        out += [V, G, np.einsum("a,qai->qi", NORMALS[mside], G)]
     for a in out:
         a.setflags(write=False)
     return tuple(out)
 
 
 class _EdgeGroup:
-    """Edges sharing minus side, plus sub-interval and classification;
-    ``rows`` holds each edge's cell rows, minus then plus (if interior)."""
+    """Edges sharing minus side, plus sub-interval and classification, given
+    by their ids ``sel``; ``rows`` holds each edge's cell rows, minus then
+    plus (if interior)."""
 
-    def __init__(self, space, kind, mside, psub, edges):
+    def __init__(self, space, sel):
         rule = edge_rule(space.k)
-        self.kind = kind
+        mesh, e = space.mesh, space.mesh.edge_arrays
+        kind, mside, psub = (int(a[sel[0]]) for a in (e.kind, e.side, e.sub))
+        self.kind = KINDS[kind]
         self.w = rule.weights
-        self.h = np.array([e.length for e in edges])
-        self.rows = np.array([[space.cell_row(c) for c in (e.minus_cell, e.plus_cell)
-                               if c is not None] for e in edges])
+        interior = self.kind is EdgeKind.INTERIOR
+        self.rows = np.column_stack([e.minus[sel], e.plus[sel]][:1 + interior])
         self.minus_rows = self.rows[:, 0]
-        self.plus_rows = self.rows[:, 1] if kind is EdgeKind.INTERIOR else None
+        self.plus_rows = self.rows[:, 1] if interior else None
+        self.h = mesh.side[self.minus_rows]
         self.fac = 1.0 if psub == SUB_FULL else 2.0
-        self.normal = np.asarray(edges[0].normal)
-        starts = np.array([(e.start.x, e.start.y) for e in edges])
-        d = np.asarray(edges[0].direction)
+        self.normal = np.asarray(NORMALS[mside])
+        starts = np.column_stack([
+            mesh.x0[self.minus_rows] + self.h * (mside == EAST),
+            mesh.y0[self.minus_rows] + self.h * (mside == NORTH)])
+        d = np.abs(self.normal[::-1])       # along the edge
         self.P = starts[:, None, :] + self.h[:, None, None] * np.outer(rule.points, d)
         (self.Vm, self.Gm, self.Gnm,
          self.Vp, self.Gp, self.Gnp) = _edge_tables(space.k, mside, psub)
@@ -105,15 +110,15 @@ class _EdgeGroup:
 
 
 def edge_groups(space):
+    """Edge groups ordered by (kind value, minus side, plus sub-interval),
+    each keeping edge-id order."""
     if space._edge_groups is None:
-        buckets = {}
-        for e in space.mesh.edges:
-            buckets.setdefault((e.kind, e.minus_side, e.plus_sub), []).append(e)
-        space._edge_groups = [
-            _EdgeGroup(space, kind, mside, psub, edges)
-            for (kind, mside, psub), edges in sorted(
-                buckets.items(), key=lambda kv: (kv[0][0].value, kv[0][1], kv[0][2]))
-        ]
+        e = space.mesh.edge_arrays
+        key = (e.kind * 4 + e.side) * 3 + e.sub
+        order = np.argsort(key, kind="stable")
+        cuts = np.flatnonzero(np.diff(key[order])) + 1
+        space._edge_groups = [_EdgeGroup(space, sel)
+                              for sel in np.split(order, cuts)]
     return space._edge_groups
 
 
@@ -267,13 +272,12 @@ class CondensedSolver:
         self.space = space
         self.key = key
         pin = space.n_cg
-        self.slaves = sorted(set(space.constraints) | {pin})
         # the space's constraint map with the pinned row zeroed
         keep = np.ones(space.n_dofs)
         keep[pin] = 0.0
         C = (sparse.diags(keep) @ space.constraint_matrix).tocsr()
         diag = np.zeros(space.n_dofs)
-        diag[self.slaves] = 1.0
+        diag[space.slaves] = diag[pin] = 1.0
         self.matrix_c = (C.T @ matrix @ C + sparse.diags(diag)).tocsc()
         self.C = C
         try:

@@ -89,10 +89,14 @@ class CycleSummary:
     order_dofs: float | None = None
 
 
+#: more time steps than any run here could finish
+_MAX_STEPS = 10 ** 6
+
+
 def _step_count(T, dt):
-    if not math.isfinite(T / dt):
-        raise ConfigError(f"the final time T={T} and dt={dt} give no finite "
-                          f"step count")
+    if not T / dt <= _MAX_STEPS:
+        raise ConfigError(f"the final time T={T} and dt={dt} give no step "
+                          f"count of at most {_MAX_STEPS}")
     n = int(round(T / dt))
     if n < 1 or abs(n * dt - T) > 1e-9 * max(1.0, T):
         raise ConfigError(f"dt={dt} does not divide the final time T={T}")

@@ -38,7 +38,7 @@ class CellIndicators:
     to each cell (interior edges appear in both adjacent cells' sums).
     """
 
-    cell_ids: tuple
+    cell_ids: np.ndarray
     eta1: np.ndarray
     eta2_sq: np.ndarray
     eta3_sq: np.ndarray

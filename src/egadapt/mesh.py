@@ -9,17 +9,20 @@ neighbors is represented by two half-edges, each carrying the fine cell on
 its minus side and the coarse cell on its plus side, so that all edge
 integrals run over intervals on which both traces are smooth.
 
-Meshes are immutable; ``refine``/``coarsen``/``classify_edges`` return new
-``Mesh`` objects that share cell records with their ancestors.  Cell ids
-encode the tree position (child k of cell p has id ``nroots + 4*p + k``),
-so an id is stable across any refine/coarsen history.
+Cell ids encode the tree position (child (kx, ky) of cell p has id
+``nroots + 4*p + kx + 2*ky``), so an id is stable across any refine/coarsen
+history.  A mesh is immutable, and its state is the sorted int64 array of
+its active cell ids, besides the domain, ``h0``, the boundary partition and
+the root grid.  Levels, grid positions, coordinates, neighbors and edges
+are derived from the ids by integer arithmetic; coordinates are exact
+dyadic numbers.  ``Cell`` and ``Edge`` are views built on request.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -30,11 +33,26 @@ logger = logging.getLogger(__name__)
 
 SQRT2 = math.sqrt(2.0)
 
-# local side indices, fixed order used throughout
+# local side indices, fixed order used throughout; side ^ 1 is the opposite
 WEST, EAST, SOUTH, NORTH = 0, 1, 2, 3
 
 # sub-interval of the plus-side (coarse) face covered by a half-edge
 SUB_FULL, SUB_LOW, SUB_HIGH = 0, 1, 2
+
+#: outward unit normal of each side
+NORMALS = ((-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0))
+
+# grid offset of the face neighbor across each side
+_DI = np.array([-1, 1, 0, 0])
+_DJ = np.array([0, 0, -1, 1])
+# child positions (kx, ky) of the face neighbor that touch each of our sides
+_KX = np.array([[1, 1], [0, 0], [0, 1], [0, 1]])
+_KY = np.array([[0, 1], [0, 1], [1, 1], [0, 0]])
+# child positions (kx, ky) in id order
+_QUAD = (np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1]))
+# boundary face of a side, indexed by 2 * side + (on the bounding box)
+_FACES = ("inner_vertical", "left", "inner_vertical", "right",
+          "inner_horizontal", "bottom", "inner_horizontal", "top")
 
 
 class MeshError(Exception):
@@ -56,13 +74,17 @@ class EdgeKind(Enum):
     NEUMANN = "neumann"
 
 
+#: edge kinds by the codes of ``EdgeArrays.kind``, in order of their values
+KINDS = tuple(sorted(EdgeKind, key=lambda kind: kind.value))
+_INTERIOR = KINDS.index(EdgeKind.INTERIOR)
+
+
 class Point2(NamedTuple):
     x: float
     y: float
 
 
-#: boundary faces of each domain, keyed by name; values are (axis, at, lo, hi)
-#: with axis 0 for vertical faces x=at and axis 1 for horizontal faces y=at.
+#: boundary faces of each domain, by name
 BOUNDARY_FACES = {
     DomainShape.UNIT_SQUARE: ("left", "right", "bottom", "top"),
     DomainShape.L_SHAPE: ("left", "right", "bottom", "top",
@@ -75,9 +97,22 @@ def all_dirichlet(shape):
     return {name: "D" for name in BOUNDARY_FACES[shape]}
 
 
+def first_encounter(keys):
+    """Number equal keys in order of first occurrence in ``keys.ravel()``.
+
+    Returns the number of every key, shaped like ``keys``, and for every
+    number the flat index of its first occurrence.
+    """
+    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inv].reshape(np.shape(keys)), first[order]
+
+
 @dataclass(frozen=True)
 class Cell:
-    """One square cell of the quadtree.  Active iff ``children is None``."""
+    """View of one square cell of the quadtree.  Active iff ``children is None``."""
 
     id: int
     level: int
@@ -90,10 +125,6 @@ class Cell:
     children: tuple[int, int, int, int] | None = None
 
     @property
-    def active(self):
-        return self.children is None
-
-    @property
     def diameter(self):
         return self.side * SQRT2
 
@@ -101,17 +132,10 @@ class Cell:
     def center(self):
         return Point2(self.x0 + 0.5 * self.side, self.y0 + 0.5 * self.side)
 
-    @property
-    def corners(self):
-        """Corners in counterclockwise order SW, SE, NE, NW."""
-        s = self.side
-        return (Point2(self.x0, self.y0), Point2(self.x0 + s, self.y0),
-                Point2(self.x0 + s, self.y0 + s), Point2(self.x0, self.y0 + s))
-
 
 @dataclass(frozen=True)
 class Edge:
-    """A face of the active tiling (or half of a coarse face, if hanging).
+    """View of a face of the active tiling (or half of a coarse face).
 
     ``minus_cell`` always owns the full extent of the edge; ``plus_cell``
     is absent on the boundary.  The unit normal points from minus to plus
@@ -140,6 +164,26 @@ class Edge:
         return (0.0, 1.0) if self.minus_side in (WEST, EAST) else (1.0, 0.0)
 
 
+class EdgeArrays(NamedTuple):
+    """All edges as parallel arrays in edge-id order: ascending minus cell,
+    then sides W, E, S, N.  ``minus``/``plus`` are rows of the active cells
+    (``plus`` is -1 on the boundary); ``kind`` indexes :data:`KINDS`."""
+
+    minus: np.ndarray
+    plus: np.ndarray
+    side: np.ndarray
+    sub: np.ndarray
+    kind: np.ndarray
+    hanging: np.ndarray
+
+
+def _rows_in(act, ids):
+    """Rows of ``ids`` in the sorted id array ``act``; -1 where absent."""
+    ids = np.asarray(ids, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(act, ids), len(act) - 1)
+    return np.where(act[pos] == ids, pos, -1)
+
+
 def _validate_h0(h0):
     if not (0.0 < h0 <= 1.0):
         raise ConfigError(f"h0 must lie in (0, 1], got {h0}")
@@ -152,106 +196,44 @@ class Mesh:
     """Immutable quadtree mesh with classified edges.
 
     Construct with :func:`build_initial`; derive finer/coarser meshes with
-    :meth:`refine` and :meth:`coarsen`.
+    :meth:`refine` and :meth:`coarsen`.  The per-cell arrays ``level``,
+    ``i``, ``j``, ``x0``, ``y0`` and ``side`` follow ``active_ids``.
     """
 
-    def __init__(self, shape, h0, partition, cells, active, nroots, root_n, bbox):
+    def __init__(self, shape, h0, partition, roots, ids):
         self.shape = shape
         self.h0 = h0
         self.partition = dict(partition)
-        self._cells = cells
-        self._active = frozenset(active)
-        self._nroots = nroots
-        self._root_n = root_n          # root cells per bbox side
-        self.bbox = bbox               # (xmin, ymin, xmax, ymax)
-        self.active_ids = tuple(sorted(self._active))
-        self._pos2id = {(c.level, c.i, c.j): c.id for c in cells.values()}
-        self.h_min = min(cells[cid].side for cid in self._active)
-        self.edges = self._build_edges()
+        # the root grid: root ids by position [ri, rj] (-1 outside the
+        # domain), and the position (ri, rj) of each root id
+        self._roots = roots
+        self._table, self._root_i, self._root_j = roots
+        self._nroots = len(self._root_i)
+        self.bbox = ((0.0, 0.0, 1.0, 1.0) if shape is DomainShape.UNIT_SQUARE
+                     else (-1.0, -1.0, 1.0, 1.0))     # (xmin, ymin, xmax, ymax)
+        self.active_ids = np.array(ids, dtype=np.int64)
+        self.active_ids.setflags(write=False)
+        self.level, self.i, self.j = self._positions(self.active_ids)
+        self.side = np.ldexp(h0, -self.level)
+        self.x0 = self.bbox[0] + self.i * self.side
+        self.y0 = self.bbox[1] + self.j * self.side
+        self.max_level = int(self.level.max())
+        self.h_min = math.ldexp(h0, -self.max_level)
+        self.edge_arrays = self._build_edges()
 
     # ------------------------------------------------------------------
-    # basic access
-
-    def cell(self, cid):
-        return self._cells[cid]
-
-    def is_active(self, cid):
-        return cid in self._active
+    # id arithmetic, valid for any mesh of the same forest
 
     @property
     def n_active(self):
-        return len(self._active)
-
-    def active_cells(self):
-        for cid in self.active_ids:
-            yield self._cells[cid]
-
-    def area(self):
-        return sum(self._cells[cid].side ** 2 for cid in self.active_ids)
-
-    @property
-    def max_level(self):
-        """Deepest refinement level among the active cells."""
-        return round(math.log2(self.h0 / self.h_min))
-
-    def interior_edges(self):
-        return [e for e in self.edges if e.kind is EdgeKind.INTERIOR]
-
-    def boundary_edges(self):
-        return [e for e in self.edges if e.kind is not EdgeKind.INTERIOR]
-
-    # ------------------------------------------------------------------
-    # tree position helpers
-
-    def _in_footprint(self, ri, rj):
-        n = self._root_n
-        if not (0 <= ri < n and 0 <= rj < n):
-            return False
-        if self.shape is DomainShape.L_SHAPE:
-            half = n // 2
-            return not (ri >= half and rj >= half)
-        return True
-
-    def _in_domain(self, level, i, j):
-        n = self._root_n << level
-        if not (0 <= i < n and 0 <= j < n):
-            return False
-        return self._in_footprint(i >> level, j >> level)
-
-    @staticmethod
-    def _neighbor_pos(level, i, j, side):
-        if side == WEST:
-            return (level, i - 1, j)
-        if side == EAST:
-            return (level, i + 1, j)
-        if side == SOUTH:
-            return (level, i, j - 1)
-        return (level, i, j + 1)
-
-    def _existing_at_or_above(self, pos2id, level, i, j):
-        """Deepest existing cell at or above position (level, i, j)."""
-        while (level, i, j) not in pos2id:
-            if level == 0:
-                raise MeshError(f"no cell covers position level={level} ({i},{j})")
-            level, i, j = level - 1, i >> 1, j >> 1
-        return pos2id[(level, i, j)]
-
-    # ------------------------------------------------------------------
-    # vectorised id arithmetic, valid for any mesh of the same forest
-
-    @cached_property
-    def active_id_array(self):
-        """``active_ids`` as a read-only int64 array."""
-        arr = np.array(self.active_ids, dtype=np.int64)
-        arr.setflags(write=False)
-        return arr
+        return len(self.active_ids)
 
     def active_rows(self, ids):
         """Rows of ``ids`` in ``active_ids``; -1 where an id is not active."""
-        ids = np.asarray(ids, dtype=np.int64)
-        act = self.active_id_array
-        pos = np.minimum(np.searchsorted(act, ids), len(act) - 1)
-        return np.where(act[pos] == ids, pos, -1)
+        return _rows_in(self.active_ids, ids)
+
+    def is_active(self, cid):
+        return bool(self.active_rows(cid) >= 0)
 
     def parent_ids(self, ids):
         """Parent ids of cell ids (-1 for roots) and the child position
@@ -264,204 +246,171 @@ class Mesh:
         """Ids of the children at position ``(kx, ky)`` of cell ids."""
         return self._nroots + 4 * np.asarray(ids, dtype=np.int64) + kx + 2 * ky
 
+    def _positions(self, ids):
+        """(level, i, j) of cell ids, climbing one level per pass."""
+        cur = np.array(ids, dtype=np.int64)
+        level, i, j = np.zeros((3,) + cur.shape, dtype=np.int64)
+        up = np.flatnonzero(cur >= self._nroots)
+        while len(up):
+            cur[up], kx, ky = self.parent_ids(cur[up])
+            i[up] += kx << level[up]
+            j[up] += ky << level[up]
+            level[up] += 1
+            up = up[cur[up] >= self._nroots]
+        return (level, i + (self._root_i[cur] << level),
+                j + (self._root_j[cur] << level))
+
+    def _ids_at(self, level, i, j):
+        """Ids of the cells at in-domain positions (level, i, j)."""
+        cur = self._table[i >> level, j >> level]
+        for b in range(int(level.max(initial=0)) - 1, -1, -1):
+            cur = np.where(level > b,
+                           self.child_ids(cur, (i >> b) & 1, (j >> b) & 1), cur)
+        return cur
+
+    def _in_domain(self, level, i, j):
+        n = len(self._table)
+        ri, rj = i >> level, j >> level
+        inside = (ri >= 0) & (ri < n) & (rj >= 0) & (rj < n)
+        return inside & (self._table[np.clip(ri, 0, n - 1),
+                                     np.clip(rj, 0, n - 1)] >= 0)
+
+    def _neighbors(self, ids):
+        """Same-level face neighbors of cell ids, four entries per id in side
+        order: (side, in-domain flag, neighbor id or -1)."""
+        level, i, j = (np.repeat(a, 4) for a in self._positions(ids))
+        side = np.tile(np.arange(4), len(level) // 4)
+        i, j = i + _DI[side], j + _DJ[side]
+        inside = self._in_domain(level, i, j)
+        nid = np.full(len(side), -1, dtype=np.int64)
+        nid[inside] = self._ids_at(level[inside], i[inside], j[inside])
+        return side, inside, nid
+
+    def lattice_keys(self, k, offsets):
+        """Integer keys of the points (x0 + a side / k, y0 + b side / k) of
+        every active cell, one column per offset (a, b) with 0 <= a, b <= k.
+        Equal keys mark equal points."""
+        shift = (self.max_level - self.level)[:, None]
+        a, b = np.asarray(offsets).T
+        width = (k * len(self._table) << self.max_level) + 1
+        if width > 2 ** 31:
+            raise MeshError("mesh too deep for 64-bit lattice keys")
+        return (((k * self.i[:, None] + a) << shift) * width
+                + ((k * self.j[:, None] + b) << shift))
+
     # ------------------------------------------------------------------
-    # edge construction
-
-    def _boundary_face(self, cell, side):
-        n = self._root_n << cell.level
-        if side == WEST:
-            return "left" if cell.i == 0 else "inner_vertical"
-        if side == EAST:
-            return "right" if cell.i + 1 == n else "inner_vertical"
-        if side == SOUTH:
-            return "bottom" if cell.j == 0 else "inner_horizontal"
-        return "top" if cell.j + 1 == n else "inner_horizontal"
-
-    @staticmethod
-    def _side_geometry(cell, side):
-        """Endpoints of a cell side, ordered by increasing coordinate."""
-        x0, y0, s = cell.x0, cell.y0, cell.side
-        if side == WEST:
-            return Point2(x0, y0), Point2(x0, y0 + s)
-        if side == EAST:
-            return Point2(x0 + s, y0), Point2(x0 + s, y0 + s)
-        if side == SOUTH:
-            return Point2(x0, y0), Point2(x0 + s, y0)
-        return Point2(x0, y0 + s), Point2(x0 + s, y0 + s)
-
-    _NORMALS = ((-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0))
+    # edges
 
     def _build_edges(self):
-        edges = []
-        cells = self._cells
-        pos2id = self._pos2id
-        for cid in self.active_ids:
-            c = cells[cid]
-            for side in (WEST, EAST, SOUTH, NORTH):
-                npos = self._neighbor_pos(c.level, c.i, c.j, side)
-                if not self._in_domain(*npos):
-                    face = self._boundary_face(c, side)
-                    if face not in self.partition:
-                        raise MeshError(
-                            f"boundary edge on face '{face}' has no entry in the "
-                            f"boundary partition {sorted(self.partition)}")
-                    kind = (EdgeKind.DIRICHLET if self.partition[face] == "D"
-                            else EdgeKind.NEUMANN)
-                    p0, p1 = self._side_geometry(c, side)
-                    edges.append(Edge(len(edges), (p0, p1), c.side, kind,
-                                      cid, None, self._NORMALS[side], False,
-                                      side, SUB_FULL))
-                    continue
-                if npos in pos2id:
-                    nb = cells[pos2id[npos]]
-                    if not nb.active:
-                        continue        # finer neighbors emit half-edges
-                    if cid < nb.id:
-                        p0, p1 = self._side_geometry(c, side)
-                        edges.append(Edge(len(edges), (p0, p1), c.side,
-                                          EdgeKind.INTERIOR, cid, nb.id,
-                                          self._NORMALS[side], False,
-                                          side, SUB_FULL))
-                    continue
-                # neighbor position absent: the neighbor is a coarser cell
-                anc_id = self._existing_at_or_above(
-                    pos2id, npos[0] - 1, npos[1] >> 1, npos[2] >> 1)
-                anc = cells[anc_id]
-                if not anc.active or anc.level != c.level - 1:
-                    raise MeshError("1-irregularity violated during edge build")
-                if side in (WEST, EAST):
-                    sub = SUB_HIGH if c.j % 2 == 1 else SUB_LOW
-                else:
-                    sub = SUB_HIGH if c.i % 2 == 1 else SUB_LOW
-                p0, p1 = self._side_geometry(c, side)
-                edges.append(Edge(len(edges), (p0, p1), c.side,
-                                  EdgeKind.INTERIOR, cid, anc_id,
-                                  self._NORMALS[side], True, side, sub))
-        return tuple(edges)
+        side, inside, nid = self._neighbors(self.active_ids)
+        minus = np.repeat(np.arange(self.n_active), 4)
+        plus = self.active_rows(nid)
+        same = plus >= 0
+        # a coarser neighbor is the active parent of the same-level position
+        up = np.flatnonzero(inside & ~same)
+        plus[up] = self.active_rows(self.parent_ids(nid[up])[0])
+        hanging = inside & ~same & (plus >= 0)
+        # otherwise the neighbors are finer: the two children by the face
+        fine = up[plus[up] < 0]
+        kids = self.child_ids(nid[fine, None], _KX[side[fine]], _KY[side[fine]])
+        if np.any(self.active_rows(kids) < 0):
+            raise MeshError("1-irregularity violated during edge build")
+
+        # grid coordinates across and along each side
+        i, j = np.repeat(self.i, 4), np.repeat(self.j, 4)
+        across, along = np.where(side < SOUTH, i, j), np.where(side < SOUTH, j, i)
+        n = len(self._table) << np.repeat(self.level, 4)
+        face = 2 * side + np.where(side & 1, across + 1 == n, across == 0)
+        kind = np.full(len(side), _INTERIOR)
+        for f in np.unique(face[~inside]):
+            name = _FACES[f]
+            if name not in self.partition:
+                raise MeshError(
+                    f"boundary edge on face '{name}' has no entry in the "
+                    f"boundary partition {sorted(self.partition)}")
+            kind[~inside & (face == f)] = KINDS.index(
+                EdgeKind.DIRICHLET if self.partition[name] == "D"
+                else EdgeKind.NEUMANN)
+        # a half-edge covers the low or high half of the coarse face
+        sub = np.where(hanging, SUB_LOW + (along & 1), SUB_FULL)
+        emit = np.flatnonzero(~inside | hanging
+                              | (same & (self.active_ids[minus] < nid)))
+        return EdgeArrays(minus[emit], plus[emit], side[emit], sub[emit],
+                          kind[emit], hanging[emit])
 
     # ------------------------------------------------------------------
-    # refinement
+    # refinement and coarsening
 
-    def _make_children(self, cells, c):
-        kids = []
-        half = c.side / 2.0
-        for k in range(4):
-            ix, iy = k & 1, k >> 1
-            kid = Cell(id=self._nroots + 4 * c.id + k,
-                       level=c.level + 1,
-                       i=2 * c.i + ix, j=2 * c.j + iy,
-                       x0=c.x0 + ix * half, y0=c.y0 + iy * half,
-                       side=half, parent=c.id)
-            cells[kid.id] = kid
-            kids.append(kid.id)
-        cells[c.id] = replace(c, children=tuple(kids))
-        return kids
+    def _marked_rows(self, marked, what):
+        ids = np.array(list(marked), dtype=np.int64)
+        rows = self.active_rows(ids)
+        if np.any(rows < 0):
+            raise MeshError(f"{what} marks must be active cells, got "
+                            f"{sorted(ids[rows < 0].tolist())[:5]}")
+        return np.unique(rows)
 
     def refine(self, marked):
         """Refine the marked active cells, plus closure for 1-irregularity."""
-        marked = set(marked)
-        bad = marked - self._active
-        if bad:
-            raise MeshError(f"refine marks must be active cells, got {sorted(bad)[:5]}")
-        to_refine = set(marked)
-        queue = sorted(marked)
-        while queue:
-            cid = queue.pop()
-            c = self._cells[cid]
-            for side in (WEST, EAST, SOUTH, NORTH):
-                npos = self._neighbor_pos(c.level, c.i, c.j, side)
-                if not self._in_domain(*npos):
-                    continue
-                if npos in self._pos2id:
-                    continue            # same level or finer: no closure needed
-                anc_id = self._existing_at_or_above(
-                    self._pos2id, npos[0] - 1, npos[1] >> 1, npos[2] >> 1)
-                if anc_id not in to_refine:
-                    to_refine.add(anc_id)
-                    queue.append(anc_id)
-        cells = dict(self._cells)
-        active = set(self._active)
-        for cid in sorted(to_refine):
-            kids = self._make_children(cells, cells[cid])
-            active.discard(cid)
-            active.update(kids)
-        return self._rebuild(cells, active)
+        split = np.zeros(self.n_active, dtype=bool)
+        split[self._marked_rows(marked, "refine")] = True
+        # a refined cell forces its coarser face neighbors: the plus cells
+        # of its hanging edges
+        e = self.edge_arrays
+        fine, coarse = e.minus[e.hanging], e.plus[e.hanging]
+        while True:
+            forced = coarse[split[fine] & ~split[coarse]]
+            if not len(forced):
+                break
+            split[forced] = True
+        kids = self.child_ids(self.active_ids[split, None], *_QUAD)
+        return self._rebuild(np.sort(np.concatenate(
+            [self.active_ids[~split], kids.ravel()])))
 
-    # ------------------------------------------------------------------
-    # coarsening
-
-    # children of the *neighbor* adjacent to our face: e.g. across our EAST
-    # face the neighbor's WEST children (local k in {0, 2}) touch us.
-    _NEIGHBOR_FACE_CHILDREN = {EAST: (0, 2), WEST: (1, 3), NORTH: (0, 1), SOUTH: (2, 3)}
-
-    def _coarsen_ok(self, pid, cells, pos2id):
-        parent = cells[pid]
-        lp = parent.level
-        for side in (WEST, EAST, SOUTH, NORTH):
-            npos = self._neighbor_pos(lp, parent.i, parent.j, side)
-            if not self._in_domain(*npos):
-                continue
-            if npos in pos2id:
-                nb = cells[pos2id[npos]]
-                if nb.children is None:
-                    continue            # same level neighbor
-                for k in self._NEIGHBOR_FACE_CHILDREN[side]:
-                    if cells[nb.children[k]].children is not None:
-                        return False    # active cells two levels below parent
-            else:
-                anc_id = self._existing_at_or_above(
-                    pos2id, npos[0] - 1, npos[1] >> 1, npos[2] >> 1)
-                if cells[anc_id].level < lp - 1:
-                    return False
-        return True
+    def _blocked(self, act, parents):
+        """Which parents may not replace their children in the active id
+        array ``act``: those with an active face neighbor two or more
+        levels below the parent, or a neighbor two or more levels above."""
+        side, inside, nid = self._neighbors(parents)
+        nid, side = nid[inside], side[inside]
+        kids = self.child_ids(nid[:, None], _KX[side], _KY[side])
+        covered = ((_rows_in(act, kids) >= 0)
+                   | (_rows_in(act, nid) >= 0)[:, None]
+                   | (_rows_in(act, self.parent_ids(nid)[0]) >= 0)[:, None])
+        bad = np.zeros(len(inside), dtype=bool)
+        bad[inside] = ~covered.all(axis=1)
+        return bad.reshape(-1, 4).any(axis=1)
 
     def coarsen(self, marked):
         """Replace complete marked sibling quadruples by their parents.
 
         Marks that cannot be honored (incomplete quadruples, root cells, or
         quadruples whose removal would break 1-irregularity) are dropped; the
-        dropped count is logged.  When no quadruple is removed the mesh
-        itself is returned, so callers can detect an unchanged mesh by
-        identity.
+        dropped count is logged.  A coarsening only ever unblocks others, so
+        passes apply every unblocked quadruple until none is left.  When no
+        quadruple is removed the mesh itself is returned, so callers can
+        detect an unchanged mesh by identity.
         """
-        marked = set(marked)
-        bad = marked - self._active
-        if bad:
-            raise MeshError(f"coarsen marks must be active cells, got {sorted(bad)[:5]}")
-        by_parent = {}
-        for cid in marked:
-            pid = self._cells[cid].parent
-            if pid is not None:
-                by_parent.setdefault(pid, set()).add(cid)
-        candidates = sorted(pid for pid, kids in by_parent.items() if len(kids) == 4)
-
-        cells = dict(self._cells)
-        active = set(self._active)
-        pos2id = dict(self._pos2id)
-        applied = []
-        progress = True
-        while progress:
-            progress = False
-            for pid in candidates:
-                if pid in applied or cells[pid].children is None:
-                    continue
-                if not self._coarsen_ok(pid, cells, pos2id):
-                    continue
-                parent = cells[pid]
-                for kid in parent.children:
-                    kc = cells.pop(kid)
-                    del pos2id[(kc.level, kc.i, kc.j)]
-                    active.discard(kid)
-                cells[pid] = replace(parent, children=None)
-                active.add(pid)
-                applied.append(pid)
-                progress = True
-        dropped = len(marked) - 4 * len(applied)
+        rows = self._marked_rows(marked, "coarsen")
+        parents = self.parent_ids(self.active_ids[rows])[0]
+        cand, count = np.unique(parents[parents >= 0], return_counts=True)
+        cand = cand[count == 4]
+        act, applied = self.active_ids, 0
+        while len(cand):
+            blocked = self._blocked(act, cand)
+            done = cand[~blocked]
+            if not len(done):
+                break
+            kids = self.child_ids(done[:, None], *_QUAD).ravel()
+            act = np.sort(np.concatenate(
+                [np.setdiff1d(act, kids, assume_unique=True), done]))
+            applied += len(done)
+            cand = cand[blocked]
+        dropped = len(rows) - 4 * applied
         if dropped:
-            logger.debug("coarsen: %d of %d marks dropped", dropped, len(marked))
+            logger.debug("coarsen: %d of %d marks dropped", dropped, len(rows))
         if not applied:
             return self
-        return self._rebuild(cells, active)
+        return self._rebuild(act)
 
     # ------------------------------------------------------------------
 
@@ -473,77 +422,106 @@ class Mesh:
         bad = {f: v for f, v in partition.items() if v not in ("D", "N")}
         if bad:
             raise MeshError(f"boundary partition values must be 'D' or 'N': {bad}")
-        return Mesh(self.shape, self.h0, partition, self._cells, self._active,
-                    self._nroots, self._root_n, self.bbox)
+        return Mesh(self.shape, self.h0, partition, self._roots, self.active_ids)
 
-    def _rebuild(self, cells, active):
-        return Mesh(self.shape, self.h0, self.partition, cells, active,
-                    self._nroots, self._root_n, self.bbox)
+    def _rebuild(self, ids):
+        return Mesh(self.shape, self.h0, self.partition, self._roots, ids)
+
+    # ------------------------------------------------------------------
+    # views for tests and demos
+
+    def cell(self, cid):
+        """View of the cell ``cid``, active or an ancestor of active cells."""
+        level, i, j = (int(a[0]) for a in self._positions([cid]))
+        side = math.ldexp(self.h0, -level)
+        parent = int(self.parent_ids(cid)[0])
+        children = None if self.is_active(cid) else tuple(
+            self.child_ids(cid, *_QUAD).tolist())
+        return Cell(int(cid), level, i, j, self.bbox[0] + i * side,
+                    self.bbox[1] + j * side, side,
+                    None if parent < 0 else parent, children)
+
+    def active_cells(self):
+        for cid in self.active_ids.tolist():
+            yield self.cell(cid)
+
+    def area(self):
+        return float(np.sum(self.side ** 2))
+
+    @cached_property
+    def edges(self):
+        """Views of all edges, in edge-id order."""
+        e = self.edge_arrays
+        ids = self.active_ids.tolist()
+        x0, y0, h = self.x0.tolist(), self.y0.tolist(), self.side.tolist()
+        out = []
+        for n, (m, p, s, sub, kind, hang) in enumerate(
+                zip(*(a.tolist() for a in e))):
+            dx, dy = (0.0, 1.0) if s in (WEST, EAST) else (1.0, 0.0)
+            start = Point2(x0[m] + h[m] * (s == EAST), y0[m] + h[m] * (s == NORTH))
+            end = Point2(start.x + h[m] * dx, start.y + h[m] * dy)
+            out.append(Edge(n, (start, end), h[m], KINDS[kind], ids[m],
+                            ids[p] if p >= 0 else None, NORMALS[s], hang, s,
+                            sub))
+        return tuple(out)
+
+    def interior_edges(self):
+        return [e for e in self.edges if e.kind is EdgeKind.INTERIOR]
+
+    def boundary_edges(self):
+        return [e for e in self.edges if e.kind is not EdgeKind.INTERIOR]
 
     # ------------------------------------------------------------------
     # point location
 
-    def _root_at(self, x, y):
-        xmin, ymin, _, _ = self.bbox
-        fx = (x - xmin) / self.h0
-        fy = (y - ymin) / self.h0
-        ri = min(int(math.floor(fx)), self._root_n - 1)
-        rj = min(int(math.floor(fy)), self._root_n - 1)
-        if self._in_footprint(ri, rj):
-            return ri, rj
-        # points exactly on a gridline bordering the excluded quadrant belong
-        # to the cell on the lower/left side
-        for di, dj in ((-1, 0), (0, -1), (-1, -1)):
-            ci, cj = ri + di, rj + dj
-            if ci < 0 or cj < 0:
-                continue
-            if (di == 0 or fx == ri) and (dj == 0 or fy == rj) \
-                    and self._in_footprint(ci, cj):
-                return ci, cj
-        raise ValueError(f"point ({x}, {y}) outside the domain")
-
     def locate(self, x, y):
-        """Id of the active cell containing (x, y); raises outside the domain."""
+        """Id of the active cell containing (x, y); raises outside the domain.
+
+        A point on a gridline belongs to the upper/right cell, except on the
+        far side of the domain and on the faces bordering the L-shape's
+        excluded quadrant, where it belongs to the lower/left one.
+        """
         xmin, ymin, xmax, ymax = self.bbox
         if not (xmin <= x <= xmax and ymin <= y <= ymax):
             raise ValueError(f"point ({x}, {y}) outside the domain")
-        ri, rj = self._root_at(x, y)
-        c = self._cells[self._pos2id[(0, ri, rj)]]
-        while c.children is not None:
-            xm = c.x0 + 0.5 * c.side
-            ym = c.y0 + 0.5 * c.side
-            k = (1 if x >= xm else 0) + (2 if y >= ym else 0)
-            c = self._cells[c.children[k]]
-        return c.id
+        fx, fy = (x - xmin) / self.h0, (y - ymin) / self.h0
+        n = len(self._table)
+        i, j = min(math.floor(fx), n - 1), min(math.floor(fy), n - 1)
+        if self._table[i, j] < 0 and fx == i and self._table[i - 1, j] >= 0:
+            i -= 1
+        elif self._table[i, j] < 0 and fy == j:
+            j -= 1
+        cid = int(self._table[i, j])
+        if cid < 0:
+            raise ValueError(f"point ({x}, {y}) outside the domain")
+        for level in range(self.max_level + 1):
+            if self.is_active(cid):
+                return cid
+            side = math.ldexp(self.h0, -level)
+            kx = int(x >= xmin + i * side + 0.5 * side)
+            ky = int(y >= ymin + j * side + 0.5 * side)
+            cid = int(self.child_ids(cid, kx, ky))
+            i, j = 2 * i + kx, 2 * j + ky
+        raise MeshError(f"no active cell contains ({x}, {y})")
 
 
 def build_initial(shape, h0, partition=None):
     """Uniform mesh of square cells of side ``h0`` over the given domain.
 
     ``h0`` must be 2**-j.  Boundary edges are classified by ``partition``
-    (face name -> 'D' or 'N'); the default is all-Dirichlet.
+    (face name -> 'D' or 'N'); the default is all-Dirichlet.  Roots are
+    numbered row by row, x fastest.
     """
     if not isinstance(shape, DomainShape):
         shape = DomainShape(shape)
     _validate_h0(h0)
     if partition is None:
         partition = all_dirichlet(shape)
-    if shape is DomainShape.UNIT_SQUARE:
-        bbox = (0.0, 0.0, 1.0, 1.0)
-        span = 1.0
-    else:
-        bbox = (-1.0, -1.0, 1.0, 1.0)
-        span = 2.0
-    root_n = int(round(span / h0))
-    xmin, ymin = bbox[0], bbox[1]
-    half = root_n // 2
-    cells = {}
-    cid = 0
-    for rj in range(root_n):
-        for ri in range(root_n):
-            if shape is DomainShape.L_SHAPE and ri >= half and rj >= half:
-                continue
-            cells[cid] = Cell(id=cid, level=0, i=ri, j=rj,
-                              x0=xmin + ri * h0, y0=ymin + rj * h0, side=h0)
-            cid += 1
-    return Mesh(shape, h0, partition, cells, set(cells), cid, root_n, bbox)
+    n = int(round((1.0 if shape is DomainShape.UNIT_SQUARE else 2.0) / h0))
+    inside = np.ones((n, n), dtype=bool)          # indexed [rj, ri]
+    if shape is DomainShape.L_SHAPE:
+        inside[n // 2:, n // 2:] = False
+    rj, ri = np.nonzero(inside)
+    table = np.full((n, n), -1, dtype=np.int64)
+    table[ri, rj] = np.arange(len(ri))
+    return Mesh(shape, h0, partition, (table, ri, rj), np.arange(len(ri)))

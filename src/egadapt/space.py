@@ -7,21 +7,23 @@ neighbor's face polynomial.  The constant part is left fully
 discontinuous; inter-element jumps of the constants are handled by the
 interior-penalty terms of the bilinear form.
 
-DoF numbering is deterministic: Lagrange nodes are numbered in first
-encounter order while sweeping active cells by ascending id and local
-nodes in lexicographic (x fastest) order; the per-cell constants follow,
-ordered by cell id.
+DoF numbering is deterministic: Lagrange nodes are numbered from integer
+lattice keys (exact node positions on the finest level's grid) in first
+encounter order, sweeping active cells by ascending id and local nodes in
+lexicographic (x fastest) order; the per-cell constants follow, ordered by
+cell id.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
 
-from .mesh import EAST, NORTH, SOUTH, SUB_HIGH, SUB_LOW, WEST, MeshError
+from .mesh import (SOUTH, SUB_FULL, SUB_HIGH, SUB_LOW, MeshError,
+                   first_encounter)
 from .quadrature import cell_rule
 
 
@@ -52,25 +54,18 @@ def tabulate(k, pts):
     the last local index with zero derivatives.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    nx, dnx, d2nx = shape_1d(k, pts[:, 0])
-    ny, dny, d2ny = shape_1d(k, pts[:, 1])
-    m = k + 1
-    nloc = m * m + 1
-    npts = len(pts)
-    N = np.zeros((npts, nloc))
-    G = np.zeros((npts, 2, nloc))
-    H = np.zeros((npts, 2, 2, nloc))
-    for b in range(m):
-        for a in range(m):
-            i = a + m * b
-            N[:, i] = nx[:, a] * ny[:, b]
-            G[:, 0, i] = dnx[:, a] * ny[:, b]
-            G[:, 1, i] = nx[:, a] * dny[:, b]
-            H[:, 0, 0, i] = d2nx[:, a] * ny[:, b]
-            H[:, 1, 1, i] = nx[:, a] * d2ny[:, b]
-            H[:, 0, 1, i] = H[:, 1, 0, i] = dnx[:, a] * dny[:, b]
-    N[:, nloc - 1] = 1.0
-    return N, G, H
+    x, y = shape_1d(k, pts[:, 0]), shape_1d(k, pts[:, 1])
+
+    def q(dx, dy):
+        # d^dx/dx d^dy/dy of node (a, b) at local index a + (k + 1) b
+        prod = x[dx][:, None, :] * y[dy][:, :, None]
+        const = np.full((len(pts), 1), float(dx + dy == 0))
+        return np.hstack([prod.reshape(len(pts), -1), const])
+
+    G = np.stack([q(1, 0), q(0, 1)], axis=1)
+    H = np.stack([np.stack([q(2, 0), q(1, 1)], axis=1),
+                  np.stack([q(1, 1), q(0, 2)], axis=1)], axis=1)
+    return q(0, 0), G, H
 
 
 def face_points(side, sub, t):
@@ -80,20 +75,9 @@ def face_points(side, sub, t):
     half-edge (the parameterization always follows increasing coordinate).
     """
     t = np.asarray(t, dtype=float)
-    if sub == SUB_LOW:
-        m = t / 2.0
-    elif sub == SUB_HIGH:
-        m = (t + 1.0) / 2.0
-    else:
-        m = t
-    zero, one = np.zeros_like(m), np.ones_like(m)
-    if side == WEST:
-        return np.column_stack([zero, m])
-    if side == EAST:
-        return np.column_stack([one, m])
-    if side == SOUTH:
-        return np.column_stack([m, zero])
-    return np.column_stack([m, one])
+    m = t if sub == SUB_FULL else (t + (sub == SUB_HIGH)) / 2.0
+    fixed = np.full_like(m, side & 1)       # 0 on the W and S sides, else 1
+    return np.column_stack([fixed, m] if side < SOUTH else [m, fixed])
 
 
 @lru_cache(maxsize=2)
@@ -105,10 +89,20 @@ def _cell_basis(k):
     return tables
 
 
-@lru_cache(maxsize=8)
-def _q2_trace_weights(t):
-    n, _, _ = shape_1d(2, np.array([t]))
-    return tuple(n[0])
+@lru_cache(maxsize=2)
+def _hanging_table(k):
+    """Local node indices on each side, by increasing coordinate, and per
+    plus-side sub-interval: the position along a fine half-face of its one
+    node that is no coarse-face node, and that node's weights on the coarse
+    face's nodes (the 1d basis at its coarse coordinate t)."""
+    m = np.arange(k + 1)
+    face = np.array([m * (k + 1), k + m * (k + 1), m, k * (k + 1) + m])
+    li, weights = np.zeros(3, dtype=np.int64), np.zeros((3, k + 1))
+    for sub, base in ((SUB_LOW, 0.0), (SUB_HIGH, 0.5)):
+        t = base + 0.5 * m / k
+        (li[sub],) = np.flatnonzero(t * k % 1)
+        weights[sub] = shape_1d(k, t[li[sub]])[0]
+    return face, li, weights
 
 
 # ----------------------------------------------------------------------
@@ -123,149 +117,69 @@ class EGSpace:
         self.k = k
         self._enumerate_dofs()
         self._build_constraints()
-        self._tables = None
         self._edge_groups = None
 
-    # -- enumeration ----------------------------------------------------
-
-    def _local_node_offsets(self):
-        m = self.k + 1
-        return [(a / self.k, b / self.k) for b in range(m) for a in range(m)]
-
     def _enumerate_dofs(self):
-        mesh = self.mesh
-        offsets = self._local_node_offsets()
-        node_id = {}
-        coords = []
-        cell_nodes = {}
-        for cid in mesh.active_ids:
-            c = mesh.cell(cid)
-            ids = []
-            for ox, oy in offsets:
-                p = (c.x0 + ox * c.side, c.y0 + oy * c.side)
-                if p not in node_id:
-                    node_id[p] = len(coords)
-                    coords.append(p)
-                ids.append(node_id[p])
-            cell_nodes[cid] = ids
-        self.n_cg = len(coords)
+        mesh, k = self.mesh, self.k
+        offsets = [(a, b) for b in range(k + 1) for a in range(k + 1)]
+        nodes, first = first_encounter(mesh.lattice_keys(k, offsets))
+        row, loc = np.divmod(first, len(offsets))
+        a, b = np.array(offsets).T / k
+        self.node_coords = np.column_stack([
+            mesh.x0[row] + a[loc] * mesh.side[row],
+            mesh.y0[row] + b[loc] * mesh.side[row]])
+        self.n_cg = len(first)
         self.n_const = mesh.n_active
         self.n_dofs = self.n_cg + self.n_const
-        self.node_coords = np.array(coords, dtype=float)
-        self._node_id = node_id
-        self._cell_rank = {cid: r for r, cid in enumerate(mesh.active_ids)}
-        nloc = len(offsets) + 1
-        dofmap = np.empty((mesh.n_active, nloc), dtype=np.int64)
-        for cid, r in self._cell_rank.items():
-            dofmap[r, :-1] = cell_nodes[cid]
-            dofmap[r, -1] = self.n_cg + r
-        self.cell_dofs = dofmap
+        self.cell_dofs = np.column_stack(
+            [nodes, self.n_cg + np.arange(mesh.n_active)])
 
     def const_dof(self, cid):
-        return self.n_cg + self._cell_rank[cid]
-
-    def cell_row(self, cid):
-        """Row of ``cell_dofs`` corresponding to an active cell id."""
-        return self._cell_rank[cid]
+        return self.n_cg + int(self.mesh.active_rows(cid))
 
     # -- hanging-node constraints ----------------------------------------
 
-    def _face_nodes(self, cell, side):
-        """Global node ids on a cell side, ordered by increasing coordinate."""
-        k, m = self.k, self.k + 1
-        if side == WEST:
-            idx = [m * b for b in range(m)]
-        elif side == EAST:
-            idx = [k + m * b for b in range(m)]
-        elif side == SOUTH:
-            idx = list(range(m))
-        else:
-            idx = [m * k + a for a in range(m)]
-        row = self.cell_dofs[self._cell_rank[cell.id], :-1]
-        return [int(row[i]) for i in idx]
-
     def _build_constraints(self):
-        raw = {}
-        mesh = self.mesh
-        for e in mesh.edges:
-            if not e.hanging:
-                continue
-            fine = mesh.cell(e.minus_cell)
-            coarse = mesh.cell(e.plus_cell)
-            masters = self._face_nodes(coarse, _opposite(e.minus_side))
-            fine_nodes = self._face_nodes(fine, e.minus_side)
-            base = 0.0 if e.plus_sub == SUB_LOW else 0.5
-            for li, node in enumerate(fine_nodes):
-                t = base + 0.5 * li / self.k
-                if self.k == 1:
-                    if t in (0.0, 1.0):
-                        continue
-                    weights = (1.0 - t, t)
-                else:
-                    if t in (0.0, 0.5, 1.0):
-                        continue
-                    weights = _q2_trace_weights(t)
-                raw[node] = [(mst, w) for mst, w in zip(masters, weights)
-                             if w != 0.0]
-        self.constraints = _resolve_chains(raw)
-        self._C = None
+        """Each hanging edge ties one node of its fine half-face to the
+        trace of the coarse face polynomial.  On a 1-irregular mesh the
+        coarse face nodes are never hanging themselves."""
+        e = self.mesh.edge_arrays
+        h = np.flatnonzero(e.hanging)
+        face, li, weights = _hanging_table(self.k)
+        sub, side = e.sub[h], e.side[h]
+        slaves = self.cell_dofs[e.minus[h], face[side, li[sub]]]
+        masters = self.cell_dofs[e.plus[h, None], face[side ^ 1]]
+        # the two half-edges of a Q1 face share their slave
+        self.slaves, first = np.unique(slaves, return_index=True)
+        self._masters, self._weights = masters[first], weights[sub[first]]
+        if np.any(np.isin(self._masters, self.slaves)):
+            raise MeshError("a hanging-node master is itself hanging")
 
     @property
+    def constraints(self):
+        """Slave dof -> ((master dof, weight), ...)."""
+        return {s: tuple(zip(m, w)) for s, m, w in zip(
+            self.slaves.tolist(), self._masters.tolist(),
+            self._weights.tolist())}
+
+    @cached_property
     def constraint_matrix(self):
         """Sparse N x N map from unconstrained to full coefficient vectors.
 
         Rows of unconstrained dofs carry an identity entry; the row of each
         hanging (slave) dof carries its master weights.
         """
-        if self._C is None:
-            n = self.n_dofs
-            cons = self.constraints
-            free = np.ones(n, dtype=bool)
-            free[list(cons)] = False
-            ids = np.flatnonzero(free)
-            slaves = np.repeat(np.array(list(cons), dtype=np.int64),
-                               [len(t) for t in cons.values()])
-            masters = [m for t in cons.values() for m, _ in t]
-            weights = [w for t in cons.values() for _, w in t]
-            rows = np.concatenate([ids, slaves])
-            cols = np.concatenate([ids, np.array(masters, dtype=np.int64)])
-            vals = np.concatenate([np.ones(len(ids)), weights])
-            self._C = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        return self._C
+        n = self.n_dofs
+        ids = np.setdiff1d(np.arange(n), self.slaves, assume_unique=True)
+        rows = np.concatenate([ids, np.repeat(self.slaves, self.k + 1)])
+        cols = np.concatenate([ids, self._masters.ravel()])
+        vals = np.concatenate([np.ones(len(ids)), self._weights.ravel()])
+        return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
-    # -- cached tabulations ----------------------------------------------
-
-    @property
+    @cached_property
     def tables(self):
-        if self._tables is None:
-            self._tables = _CellTables(self)
-        return self._tables
-
-
-def _opposite(side):
-    return {WEST: EAST, EAST: WEST, SOUTH: NORTH, NORTH: SOUTH}[side]
-
-
-def _resolve_chains(raw):
-    """Flatten constraint chains so every master is unconstrained."""
-    out = {s: list(terms) for s, terms in raw.items()}
-    for _ in range(64):
-        changed = False
-        for s, terms in out.items():
-            if not any(m in out for m, _ in terms):
-                continue
-            acc = {}
-            for m, w in terms:
-                if m in out:
-                    for mm, ww in out[m]:
-                        acc[mm] = acc.get(mm, 0.0) + w * ww
-                else:
-                    acc[m] = acc.get(m, 0.0) + w
-            out[s] = sorted(acc.items())
-            changed = True
-        if not changed:
-            return {s: tuple(t) for s, t in out.items()}
-    raise MeshError("hanging-node constraint chains failed to resolve")
+        """Cached quadrature tables and geometry arrays."""
+        return _CellTables(self)
 
 
 class _CellTables:
@@ -277,11 +191,9 @@ class _CellTables:
         self.rule = rule
         self.N, self.G, self.H = _cell_basis(space.k)
         self.w = rule.weights
-        cells = [mesh.cell(cid) for cid in mesh.active_ids]
-        self.sides = np.array([c.side for c in cells])
-        self.origins = np.array([(c.x0, c.y0) for c in cells])
+        self.sides = mesh.side
         # physical quadrature points, shape (ncells, nq, 2)
-        self.X = (self.origins[:, None, :]
+        self.X = (np.column_stack([mesh.x0, mesh.y0])[:, None, :]
                   + self.sides[:, None, None] * rule.points[None, :, :])
 
 
@@ -305,21 +217,22 @@ class DiscreteField:
         returned derivatives are with respect to physical coordinates.
         """
         mesh = self.space.mesh
-        if not mesh.is_active(cid):
+        row = int(mesh.active_rows(cid))
+        if row < 0:
             raise MeshError(f"cell {cid} is not active")
-        c = mesh.cell(cid)
+        side = mesh.side[row]
         N, G, H = tabulate(self.space.k, ref_pts)
-        loc = self.coeffs[self.space.cell_dofs[self.space.cell_row(cid)]]
+        loc = self.coeffs[self.space.cell_dofs[row]]
         vals = N @ loc
-        grads = np.einsum("qai,i->qa", G, loc) / c.side
-        hess = np.einsum("qabi,i->qab", H, loc) / c.side ** 2
+        grads = np.einsum("qai,i->qa", G, loc) / side
+        hess = np.einsum("qabi,i->qab", H, loc) / side ** 2
         return vals, grads, hess
 
     def value(self, x, y):
-        cid = self.space.mesh.locate(x, y)
-        c = self.space.mesh.cell(cid)
-        ref = np.array([[(x - c.x0) / c.side, (y - c.y0) / c.side]])
-        return float(self.evaluate(cid, ref)[0][0])
+        mesh = self.space.mesh
+        row = int(mesh.active_rows(mesh.locate(x, y)))
+        ref = (np.array([[x, y]]) - (mesh.x0[row], mesh.y0[row])) / mesh.side[row]
+        return float(self.evaluate(mesh.active_ids[row], ref)[0][0])
 
     def cell_values(self, deriv=0):
         """Batched values (or gradients/hessians) at the cell-rule points.
@@ -386,34 +299,31 @@ class TransferredField:
         # same and finer cells: climb to the active donor ancestor, keeping
         # the cell's depth below it and its integer position (ix, iy) on
         # that depth's grid of the ancestor's reference square
-        ids = tgt.active_id_array
+        ids = tgt.active_ids
         cur = ids.copy()
         depth = np.zeros(len(ids), dtype=np.int64)
-        ix = np.zeros(len(ids), dtype=np.int64)
-        iy = np.zeros(len(ids), dtype=np.int64)
         drow = src.active_rows(cur)
         for _ in range(tgt.max_level):
             todo = np.flatnonzero((drow < 0) & (cur >= 0))
             if not len(todo):
                 break
-            cur[todo], kx, ky = src.parent_ids(cur[todo])
-            ix[todo] += kx << depth[todo]
-            iy[todo] += ky << depth[todo]
+            cur[todo] = src.parent_ids(cur[todo])[0]
             depth[todo] += 1
             drow[todo] = src.active_rows(cur[todo])
         hit = np.flatnonzero(drow >= 0)
         if len(hit):
+            d = depth[hit]
+            ix, iy = tgt.i[hit] & ((1 << d) - 1), tgt.j[hit] & ((1 << d) - 1)
             # one tabulation per distinct (depth, ix, iy); the key is unique
             # because ix + iy * 2**depth < 4**depth
-            key = (1 << 2 * depth[hit]) + ix[hit] + (iy[hit] << depth[hit])
+            key = (1 << 2 * d) + ix + (iy << d)
             _, first, inv = np.unique(key, return_index=True,
                                       return_inverse=True)
-            pat = hit[first]
-            scale = 0.5 ** depth[pat]
-            off = np.column_stack([ix[pat], iy[pat]]) * scale[:, None]
+            scale = 0.5 ** d[first]
+            off = np.column_stack([ix[first], iy[first]]) * scale[:, None]
             pts = off[:, None, :] + scale[:, None, None] * ref_pts[None]
             N = tabulate(k, pts.reshape(-1, 2))[0].reshape(
-                len(pat), len(ref_pts), -1)
+                len(first), len(ref_pts), -1)
             out[hit] = np.einsum("cqi,ci->cq", N[inv],
                                  coeffs[dofs[drow[hit]]])
 

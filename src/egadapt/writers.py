@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
+
+from .mesh import first_encounter
+
+#: cell corners (a, b) in counterclockwise order SW, SE, NE, NW
+_CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
+
 
 def mesh_svg(mesh, path, size=640):
     """Write the active-cell outlines as an SVG drawing, one rect per cell."""
@@ -13,11 +20,12 @@ def mesh_svg(mesh, path, size=640):
         f'width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
     ]
-    for c in mesh.active_cells():
-        x = (c.x0 - xmin) * scale
+    for x0, y0, side in zip(mesh.x0.tolist(), mesh.y0.tolist(),
+                            mesh.side.tolist()):
+        x = (x0 - xmin) * scale
         # flip y so the drawing matches mathematical orientation
-        y = (ymax - c.y0 - c.side) * scale
-        w = c.side * scale
+        y = (ymax - y0 - side) * scale
+        w = side * scale
         lines.append(f'<rect x="{x:.3f}" y="{y:.3f}" width="{w:.3f}" '
                      f'height="{w:.3f}" fill="none" stroke="black" '
                      f'stroke-width="0.5"/>')
@@ -27,20 +35,14 @@ def mesh_svg(mesh, path, size=640):
 
 
 def _corner_points(mesh):
-    """Unique active-cell corners with per-cell connectivity (CCW quads)."""
-    index = {}
-    points = []
-    quads = []
-    for c in mesh.active_cells():
-        ids = []
-        for p in c.corners:     # SW, SE, NE, NW: counterclockwise
-            key = (p.x, p.y)
-            if key not in index:
-                index[key] = len(points)
-                points.append(key)
-            ids.append(index[key])
-        quads.append(ids)
-    return points, quads
+    """Unique active-cell corners in first-encounter order, per-cell
+    connectivity (CCW quads) and each point's first (row, corner)."""
+    quads, first = first_encounter(mesh.lattice_keys(1, _CORNERS))
+    row, corner = np.divmod(first, 4)
+    a, b = np.array(_CORNERS, dtype=float).T
+    points = zip((mesh.x0[row] + a[corner] * mesh.side[row]).tolist(),
+                 (mesh.y0[row] + b[corner] * mesh.side[row]).tolist())
+    return list(points), quads.tolist(), (row, corner)
 
 
 def _vtk_header(fh, title, points, quads):
@@ -55,13 +57,12 @@ def _vtk_header(fh, title, points, quads):
     for q in quads:
         fh.write("4 " + " ".join(str(i) for i in q) + "\n")
     fh.write(f"CELL_TYPES {len(quads)}\n")
-    for _ in quads:
-        fh.write("9\n")
+    fh.write("9\n" * len(quads))
 
 
 def mesh_vtk(mesh, path, title="quadtree mesh"):
     """ASCII legacy-VTK unstructured grid of the active cells (quad type 9)."""
-    points, quads = _corner_points(mesh)
+    points, quads, _ = _corner_points(mesh)
     with open(path, "w", encoding="utf-8") as fh:
         _vtk_header(fh, title, points, quads)
 
@@ -69,15 +70,16 @@ def mesh_vtk(mesh, path, title="quadtree mesh"):
 def field_vtk(field, path, title="EG field"):
     """Legacy-VTK dump: continuous part at cell corners, constants per cell."""
     space = field.space
-    mesh = space.mesh
-    points, quads = _corner_points(mesh)
+    k = space.k
+    points, quads, (row, corner) = _corner_points(space.mesh)
+    local = [a * k + b * k * (k + 1) for a, b in _CORNERS]
+    cg = field.coeffs[space.cell_dofs[row, np.take(local, corner)]]
     with open(path, "w", encoding="utf-8") as fh:
         _vtk_header(fh, title, points, quads)
         fh.write(f"POINT_DATA {len(points)}\n")
         fh.write("SCALARS cg_part double\nLOOKUP_TABLE default\n")
-        for x, y in points:
-            dof = space._node_id[(x, y)]
-            fh.write(f"{field.coeffs[dof]:.12g}\n")
+        for v in cg.tolist():
+            fh.write(f"{v:.12g}\n")
         fh.write(f"CELL_DATA {len(quads)}\n")
         fh.write("SCALARS const_part double\nLOOKUP_TABLE default\n")
         consts = field.coeffs[space.n_cg:]

@@ -13,7 +13,7 @@ import numpy as np
 from egadapt import EdgeKind, edge_rule, map_to_edge
 from egadapt.assembly import PenaltySpec, _edge_data, _EdgeGroup
 from egadapt.mesh import SUB_FULL
-from egadapt.space import _opposite, face_points
+from egadapt.space import face_points
 
 
 # ----------------------------------------------------------------------
@@ -56,7 +56,7 @@ def jump_average(field, edge, t):
     vm, _, _ = _edge_trace(field, t, edge.minus_side, SUB_FULL, edge.minus_cell)
     if edge.plus_cell is None:
         return vm.copy(), vm.copy()
-    vp, _, _ = _edge_trace(field, t, _opposite(edge.minus_side),
+    vp, _, _ = _edge_trace(field, t, edge.minus_side ^ 1,
                            edge.plus_sub, edge.plus_cell)
     return vm - vp, 0.5 * (vm + vp)
 
@@ -75,7 +75,7 @@ def flux_jump_average(field, edge, t, K=None):
         fm = np.einsum("a,qab,qb->q", n, Kv, gm)
     if edge.plus_cell is None:
         return fm.copy(), fm.copy()
-    _, gp, _ = _edge_trace(field, t, _opposite(edge.minus_side),
+    _, gp, _ = _edge_trace(field, t, edge.minus_side ^ 1,
                            edge.plus_sub, edge.plus_cell)
     if K is None:
         fp = gp @ n
@@ -175,7 +175,7 @@ def edge_matrix(space, edge, K=None, penalty=PenaltySpec()):
     Returns (dofs, matrix) with dofs the concatenated minus(+plus) cell
     dofs and matrix indexed (test, trial).
     """
-    group = _EdgeGroup(space, edge.kind, edge.minus_side, edge.plus_sub, [edge])
+    group = _EdgeGroup(space, np.array([edge.id]))
     dofs = space.cell_dofs[group.rows[0]].ravel()
     if edge.kind is EdgeKind.NEUMANN:
         return dofs, np.zeros((len(dofs), len(dofs)))

@@ -1,5 +1,5 @@
-"""Smoke tests of a demo that drives the public assembly and solve API, and
-of the benchmark tracer's hooks into the library."""
+"""Smoke tests of the demos that drive the public mesh, assembly and solve
+API, and of the benchmark tracer's hooks into the library."""
 
 import os
 import subprocess
@@ -15,6 +15,13 @@ def _run(args, cwd):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+def test_quadtree_mesh_demo_writes_into_cwd(tmp_path):
+    proc = _run([str(ROOT / "demos" / "01_quadtree_meshes.py")], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert {p.name for p in tmp_path.iterdir()} == {"corner_mesh.svg",
+                                                    "corner_mesh.vtk"}
 
 
 def test_eg_space_and_solve_demo_runs(tmp_path):

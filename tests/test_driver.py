@@ -138,7 +138,8 @@ class TestCli:
     @pytest.mark.parametrize("flag, value", [
         ("--theta-refine", "1.5"), ("--alpha", "-1"), ("--tau", "0"),
         ("--max-iters", "0"), ("--theta-coarse", "1.0"), ("--alpha", "nan"),
-        ("--alpha", "inf"), ("--tau", "nan"), ("--dt", "nan"), ("--T", "nan")])
+        ("--alpha", "inf"), ("--tau", "nan"), ("--dt", "nan"), ("--T", "nan"),
+        ("--dt", "1e-12")])
     def test_bad_adaptive_parameter_exits_2(self, flag, value, capsys):
         rc = cli_main(["--problem", "example1", "--mode", "adaptive_full",
                        "--h0", "0.25", "--T", "0.01", flag, value])

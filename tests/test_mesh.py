@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from egadapt import ConfigError, DomainShape, EdgeKind, MeshError, build_initial
-from egadapt.mesh import EAST, NORTH
+from egadapt import (ConfigError, DomainShape, EdgeKind, EGSpace, MeshError,
+                     build_initial)
 
 from conftest import random_adaptive_mesh
 
@@ -115,12 +116,11 @@ class TestCoarsen:
         lvl2_now = [cid for cid in m2.active_ids if m2.cell(cid).level == 2]
         before = m2.n_active
         c = m2.coarsen(lvl2_now)
-        # the quad adjacent to level-3 cells must survive; others may coarsen
-        assert any(not c.is_active(p) or True for p in lvl2_now)
-        lvl3 = [cid for cid in c.active_ids if c.cell(cid).level == 3]
-        assert lvl3, "level-3 cells still present"
-        assert max(levels_across_edges(c)) <= 1
-        assert c.n_active <= before
+        # both complete quadruples (parents 2 and 3) border the level-3
+        # children of cell 8, so neither may coarsen
+        assert c is m2 and before == 16
+        for p in (2, 3):
+            assert all(c.is_active(kid) for kid in m2.cell(p).children)
 
     def test_refine_coarsen_roundtrip_identity(self):
         m = random_adaptive_mesh(rounds=2, seed=5)
@@ -238,3 +238,60 @@ class TestLocate:
         m = build_initial(DomainShape.L_SHAPE, 0.5)
         assert m.cell(m.locate(0.0, 0.5)).x0 == -0.5
         assert m.cell(m.locate(0.5, 0.0)).y0 == -0.5
+
+
+def _random_history(shape, ops, seed):
+    """Mesh after random refine/coarsen rounds from a coarse initial mesh;
+    a coarsen round marks the active children of randomly picked parents."""
+    rng = np.random.default_rng(seed)
+    mesh = build_initial(shape, 0.5)
+    for op in ops:
+        ids = np.asarray(mesh.active_ids)
+        if op == "refine":
+            mesh = mesh.refine(rng.choice(ids, size=max(1, len(ids) // 3),
+                                          replace=False))
+        else:
+            parents = mesh.parent_ids(ids)[0]
+            pick = rng.random(len(ids)) < 0.5
+            mesh = mesh.coarsen(ids[np.isin(parents, parents[pick])
+                                    & (parents >= 0)])
+    return mesh
+
+
+HISTORIES = dict(
+    shape=st.sampled_from([DomainShape.UNIT_SQUARE, DomainShape.L_SHAPE]),
+    ops=st.lists(st.sampled_from(["refine", "coarsen"]), min_size=1,
+                 max_size=5),
+    seed=st.integers(0, 2 ** 16))
+
+
+class TestRandomHistories:
+    @settings(max_examples=16, deadline=None, derandomize=True)
+    @given(**HISTORIES)
+    def test_edges_tile_a_one_irregular_mesh(self, shape, ops, seed):
+        m = _random_history(shape, ops, seed)
+        assert max(levels_across_edges(m)) <= 1
+        assert m.area() == (1.0 if shape is DomainShape.UNIT_SQUARE else 3.0)
+        covered = {}
+        for e in m.edges:
+            sides = [(e.minus_cell, e.minus_side)]
+            if e.plus_cell is not None:
+                sides.append((e.plus_cell, e.minus_side ^ 1))   # opposite
+                cm, cp = m.cell(e.minus_cell).center, m.cell(e.plus_cell).center
+                assert np.dot([cp.x - cm.x, cp.y - cm.y], e.normal) > 0
+            for key in sides:
+                covered[key] = covered.get(key, 0.0) + e.length
+        assert covered == {(c.id, side): c.side for c in m.active_cells()
+                           for side in range(4)}
+
+    @settings(max_examples=16, deadline=None, derandomize=True)
+    @given(k=st.sampled_from([1, 2]), **HISTORIES)
+    def test_dof_numbering_and_constraints(self, k, shape, ops, seed):
+        s = EGSpace(_random_history(shape, ops, seed), k)
+        masters = {mst for terms in s.constraints.values() for mst, _ in terms}
+        assert not masters & set(s.constraints)
+        # nodes are numbered in first-encounter order, row by row
+        nodes, first = np.unique(s.cell_dofs[:, :-1], return_index=True)
+        assert np.array_equal(nodes, np.arange(s.n_cg))
+        assert np.all(np.diff(first) > 0)
+        assert np.array_equal(s.cell_dofs[:, -1], s.n_cg + np.arange(s.n_const))
