@@ -148,7 +148,7 @@ def _stiffness_data(space, K):
     t = space.tables
     if K is None:
         return np.einsum("q,qai,qaj->ij", t.w, t.G, t.G)[None]
-    Kv = np.asarray(K(t.X[..., 0], t.X[..., 1]), dtype=float)
+    Kv = np.asarray(K(t.x, t.y), dtype=float)
     return np.einsum("q,cqab,qai,qbj->cij", t.w, Kv, t.G, t.G)
 
 
@@ -209,8 +209,8 @@ def assemble_rhs(space, problem, t_n, penalty=PenaltySpec(), prev=None, dt=None)
     """
     tb = space.tables
     b = np.zeros(space.n_dofs)
-    F = np.asarray(problem.f(tb.X[..., 0], tb.X[..., 1], t_n), dtype=float)
-    F = np.broadcast_to(F, tb.X.shape[:2]).copy()
+    F = np.asarray(problem.f(tb.x, tb.y, t_n), dtype=float)
+    F = np.broadcast_to(F, tb.x.shape).copy()
     if prev is not None:
         if dt is None:
             raise ValueError("dt is required when a previous state is supplied")

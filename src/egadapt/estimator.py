@@ -97,7 +97,7 @@ def _div_k_grad(field, K, K_grad):
     step of 1e-6 times the cell diameter.
     """
     tb = field.space.tables
-    x, y = tb.X[..., 0], tb.X[..., 1]
+    x, y = tb.x, tb.y
     Kv = np.asarray(K(x, y), dtype=float)
     if K_grad is not None:
         dK = np.asarray(K_grad(x, y), dtype=float)   # (c, q, 2, 2, 2): d_a K_ij
@@ -129,10 +129,10 @@ def compute_indicators(space, field, prev_vals, problem, t_n, dt, alpha):
     """
     tb = space.tables
     ncells = len(tb.sides)
-    X, Y = tb.X[..., 0], tb.X[..., 1]
 
     vals = field.cell_values(0)
-    resid = np.broadcast_to(np.asarray(problem.f(X, Y, t_n), float), vals.shape) \
+    resid = np.broadcast_to(np.asarray(problem.f(tb.x, tb.y, t_n), float),
+                            vals.shape) \
         - (vals - prev_vals) / dt
     if problem.K is not None:
         resid = resid + _div_k_grad(field, problem.K, problem.K_grad)

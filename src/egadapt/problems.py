@@ -13,6 +13,11 @@ hence d(phi)/dx = +y/r^2 and d(phi)/dy = -x/r^2.
 
 ``smoke_linear`` is the trivially representable steady solution x + y on
 the unit square, used by exactness tests.
+
+The examples multiply s by a time factor, and their data is evaluated
+again and again at the same cell quadrature points.  At a space's cell
+points (``EGSpace.tables.x``, ``.y``) s and its gradient are computed once
+and kept in the points' memo, so they live as long as the space.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .mesh import DomainShape, all_dirichlet
+from .space import CellPoints
 
 TWO_PI = 2.0 * math.pi
 
@@ -68,6 +74,14 @@ def _angle(x, y):
 
 
 def _singular(x, y):
+    """(s, sx, sy) from :func:`_singular_values`; computed once per space
+    at its cell points, where the arrays are read-only."""
+    if isinstance(x, CellPoints):
+        return x.cached(y, _singular_values)
+    return _singular_values(x, y)
+
+
+def _singular_values(x, y):
     """s = r^(2/3) sin(2 phi / 3) with its Cartesian gradient.
 
     The gradient entries blow up like r^(-1/3); callers never evaluate them

@@ -12,11 +12,17 @@ lattice keys (exact node positions on the finest level's grid) in first
 encounter order, sweeping active cells by ascending id and local nodes in
 lexicographic (x fastest) order; the per-cell constants follow, ordered by
 cell id.
+
+A space's cell quadrature points are exposed once, as the read-only
+coordinate arrays ``tables.x`` and ``tables.y``; problem data evaluated
+there can be memoised on them (:meth:`CellPoints.cached`), and that memo
+is freed with the space.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -182,6 +188,40 @@ class EGSpace:
         return _CellTables(self)
 
 
+class CellPoints(np.ndarray):
+    """Read-only x or y coordinates of a space's cell quadrature points.
+
+    The x array pairs with its y array and carries a memo for data that
+    depends only on the points.  Arrays derived from either one (views,
+    arithmetic results) carry no memo.
+    """
+
+    _y = None
+    _memo = None
+
+    def cached(self, y, fn):
+        """``fn(self, y)``, a tuple of arrays shaped like the points.
+
+        If ``(self, y)`` are one space's (x, y), the result is computed
+        once and kept read-only in one block of its own anonymous memory
+        mapping, freed with the space.  Outside the malloc heap it cannot
+        sit between the large short-lived buffers of successive LU
+        factorizations and keep the heap from reusing their room (kept in
+        the heap, it raised an adaptive run's peak RSS by about 10%).
+        """
+        if self._memo is None or y is not self._y:
+            return fn(self, y)
+        if fn not in self._memo:
+            values = fn(self, y)
+            size = len(values) * self.size
+            block = np.frombuffer(mmap.mmap(-1, 8 * size)).reshape(
+                (len(values),) + self.shape)
+            block[...] = values
+            block.setflags(write=False)
+            self._memo[fn] = tuple(block)
+        return self._memo[fn]
+
+
 class _CellTables:
     """Per-space cache of quadrature tables and geometry arrays."""
 
@@ -195,6 +235,10 @@ class _CellTables:
         # physical quadrature points, shape (ncells, nq, 2)
         self.X = (np.column_stack([mesh.x0, mesh.y0])[:, None, :]
                   + self.sides[:, None, None] * rule.points[None, :, :])
+        self.X.setflags(write=False)
+        # the same points as (ncells, nq) coordinate arrays, memo on x
+        self.x, self.y = (self.X[..., a].view(CellPoints) for a in (0, 1))
+        self.x._y, self.x._memo = self.y, {}
 
 
 # ----------------------------------------------------------------------
@@ -368,9 +412,8 @@ def broken_h1_error(field, exact, exact_grad):
     t = field.space.tables
     vals = field.cell_values(0)
     grads = field.cell_values(1)
-    X, Y = t.X[..., 0], t.X[..., 1]
-    dv = vals - exact(X, Y)
-    gx, gy = exact_grad(X, Y)
+    dv = vals - exact(t.x, t.y)
+    gx, gy = exact_grad(t.x, t.y)
     dgx = grads[..., 0] - gx
     dgy = grads[..., 1] - gy
     cellw = t.w[None, :] * t.sides[:, None] ** 2

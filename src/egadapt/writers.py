@@ -35,36 +35,39 @@ def mesh_svg(mesh, path, size=640):
 
 
 def _corner_points(mesh):
-    """Unique active-cell corners in first-encounter order, per-cell
-    connectivity (CCW quads) and each point's first (row, corner)."""
+    """Unique active-cell corners in first-encounter order as (n, 2)
+    coordinates, per-cell connectivity (CCW quads) and each point's first
+    (row, corner)."""
     quads, first = first_encounter(mesh.lattice_keys(1, _CORNERS))
     row, corner = np.divmod(first, 4)
     a, b = np.array(_CORNERS, dtype=float).T
-    points = zip((mesh.x0[row] + a[corner] * mesh.side[row]).tolist(),
-                 (mesh.y0[row] + b[corner] * mesh.side[row]).tolist())
-    return list(points), quads.tolist(), (row, corner)
+    points = np.column_stack([mesh.x0[row] + a[corner] * mesh.side[row],
+                              mesh.y0[row] + b[corner] * mesh.side[row]])
+    return points, quads, (row, corner)
 
 
-def _vtk_header(fh, title, points, quads):
-    fh.write("# vtk DataFile Version 3.0\n")
-    fh.write(title + "\n")
-    fh.write("ASCII\n")
-    fh.write("DATASET UNSTRUCTURED_GRID\n")
-    fh.write(f"POINTS {len(points)} double\n")
-    for x, y in points:
-        fh.write(f"{x:.12g} {y:.12g} 0\n")
-    fh.write(f"CELLS {len(quads)} {5 * len(quads)}\n")
-    for q in quads:
-        fh.write("4 " + " ".join(str(i) for i in q) + "\n")
-    fh.write(f"CELL_TYPES {len(quads)}\n")
-    fh.write("9\n" * len(quads))
+def _lines(fmt, values, per_line=1):
+    """One ``fmt`` line per ``per_line`` consecutive values, in one string."""
+    values = values.ravel().tolist()
+    return (fmt * (len(values) // per_line)) % tuple(values)
+
+
+def _vtk_header(title, points, quads):
+    return "".join([
+        f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
+        f"DATASET UNSTRUCTURED_GRID\nPOINTS {len(points)} double\n",
+        _lines("%.12g %.12g 0\n", points, 2),
+        f"CELLS {len(quads)} {5 * len(quads)}\n",
+        _lines("4 %d %d %d %d\n", quads, 4),
+        f"CELL_TYPES {len(quads)}\n",
+        "9\n" * len(quads)])
 
 
 def mesh_vtk(mesh, path, title="quadtree mesh"):
     """ASCII legacy-VTK unstructured grid of the active cells (quad type 9)."""
     points, quads, _ = _corner_points(mesh)
     with open(path, "w", encoding="utf-8") as fh:
-        _vtk_header(fh, title, points, quads)
+        fh.write(_vtk_header(title, points, quads))
 
 
 def field_vtk(field, path, title="EG field"):
@@ -75,16 +78,14 @@ def field_vtk(field, path, title="EG field"):
     local = [a * k + b * k * (k + 1) for a, b in _CORNERS]
     cg = field.coeffs[space.cell_dofs[row, np.take(local, corner)]]
     with open(path, "w", encoding="utf-8") as fh:
-        _vtk_header(fh, title, points, quads)
-        fh.write(f"POINT_DATA {len(points)}\n")
-        fh.write("SCALARS cg_part double\nLOOKUP_TABLE default\n")
-        for v in cg.tolist():
-            fh.write(f"{v:.12g}\n")
-        fh.write(f"CELL_DATA {len(quads)}\n")
-        fh.write("SCALARS const_part double\nLOOKUP_TABLE default\n")
-        consts = field.coeffs[space.n_cg:]
-        for v in consts:
-            fh.write(f"{v:.12g}\n")
+        fh.write("".join([
+            _vtk_header(title, points, quads),
+            f"POINT_DATA {len(points)}\n"
+            "SCALARS cg_part double\nLOOKUP_TABLE default\n",
+            _lines("%.12g\n", cg),
+            f"CELL_DATA {len(quads)}\n"
+            "SCALARS const_part double\nLOOKUP_TABLE default\n",
+            _lines("%.12g\n", field.coeffs[space.n_cg:])]))
 
 
 def matrix_market(matrix, path, comment="assembled system"):

@@ -180,3 +180,64 @@ def edge_matrix(space, edge, K=None, penalty=PenaltySpec()):
     if edge.kind is EdgeKind.NEUMANN:
         return dofs, np.zeros((len(dofs), len(dofs)))
     return dofs, _edge_data(group, K, penalty)[0]
+
+
+# ----------------------------------------------------------------------
+# legacy-VTK output, one write per line
+
+_CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))     # SW, SE, NE, NW
+
+
+def _vtk_lines(fh, mesh, title):
+    """Write the VTK header, points and cells; return each point's first
+    (cell, corner).  Corners are numbered by their exact coordinates in
+    first-encounter order: cells by ascending id, corners counterclockwise
+    from SW."""
+    index, first, quads = {}, [], []
+    for cell in mesh.active_cells():
+        quad = []
+        for a, b in _CORNERS:
+            xy = (cell.x0 + a * cell.side, cell.y0 + b * cell.side)
+            if xy not in index:
+                index[xy] = len(first)
+                first.append((cell.id, a, b, xy))
+            quad.append(index[xy])
+        quads.append(quad)
+    fh.write("# vtk DataFile Version 3.0\n")
+    fh.write(title + "\n")
+    fh.write("ASCII\n")
+    fh.write("DATASET UNSTRUCTURED_GRID\n")
+    fh.write(f"POINTS {len(first)} double\n")
+    for _, _, _, (x, y) in first:
+        fh.write(f"{x:.12g} {y:.12g} 0\n")
+    fh.write(f"CELLS {len(quads)} {5 * len(quads)}\n")
+    for q in quads:
+        fh.write("4 " + " ".join(str(i) for i in q) + "\n")
+    fh.write(f"CELL_TYPES {len(quads)}\n")
+    for _ in quads:
+        fh.write("9\n")
+    return first
+
+
+def mesh_vtk(mesh, path, title="quadtree mesh"):
+    with open(path, "w", encoding="utf-8") as fh:
+        _vtk_lines(fh, mesh, title)
+
+
+def field_vtk(field, path, title="EG field"):
+    """Continuous part at each corner (the coefficient of the corner node
+    in the cell that first reaches it), then the cell constants."""
+    space = field.space
+    k = space.k
+    with open(path, "w", encoding="utf-8") as fh:
+        first = _vtk_lines(fh, space.mesh, title)
+        fh.write(f"POINT_DATA {len(first)}\n")
+        fh.write("SCALARS cg_part double\nLOOKUP_TABLE default\n")
+        for cid, a, b, _ in first:
+            row = int(space.mesh.active_rows(cid))
+            dof = space.cell_dofs[row, a * k + b * k * (k + 1)]
+            fh.write(f"{field.coeffs[dof]:.12g}\n")
+        fh.write(f"CELL_DATA {space.mesh.n_active}\n")
+        fh.write("SCALARS const_part double\nLOOKUP_TABLE default\n")
+        for cid in space.mesh.active_ids:
+            fh.write(f"{field.coeffs[space.const_dof(cid)]:.12g}\n")

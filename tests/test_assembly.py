@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import sparse
 
-from egadapt import (CondensedSolver, DiscreteField, DomainShape, EGSpace,
-                     PenaltySpec, SolverError, apply_constraints_and_solve,
-                     assemble_A_theta, assemble_mass, assemble_rhs,
-                     assemble_stiffness, broken_h1_error, build_initial,
-                     galerkin_residual, interpolate, smoke_linear)
+from egadapt import (CondensedSolver, DiscreteField, DomainShape, EdgeKind,
+                     EGSpace, PenaltySpec, SolverError,
+                     apply_constraints_and_solve, assemble_A_theta,
+                     assemble_mass, assemble_rhs, assemble_stiffness,
+                     broken_h1_error, build_initial, example1,
+                     galerkin_residual, interpolate, smoke_linear, transfer)
 from egadapt.assembly import edge_groups
 
 from conftest import random_adaptive_mesh
@@ -382,3 +385,83 @@ class TestGalerkinOrthogonality:
             f = DiscreteField(s, solver.solve(b))
             worst = max(worst, galerkin_residual(S, b, f) / np.linalg.norm(b))
         assert worst <= 1e-9
+
+
+def _traces(field, rows, P):
+    """Values (E, nq) and physical gradients (E, nq, 2) of the field's
+    restriction to the cells ``rows`` at the physical points P (E, nq, 2)."""
+    mesh = field.space.mesh
+    out = [field.evaluate(mesh.active_ids[r],
+                          (pts - (mesh.x0[r], mesh.y0[r])) / mesh.side[r])
+           for r, pts in zip(rows, P)]
+    return np.array([o[0] for o in out]), np.array([o[1] for o in out])
+
+
+class TestMassBalance:
+    """Testing the scheme with a cell constant chi_T, which lies in the EG
+    space, gives a conservation law on every cell T:
+
+        (p^n - p^{n-1}, 1)_T / dt + sum_e int_e F.n_T = (f, 1)_T
+
+    with the numerical flux F.n = -{K grad p_h}.n + (alpha K_max / h_e)[p_h]
+    on interior edges, -K grad p_h.n + (alpha K_max / h_e)(p_h - g_D) on
+    Dirichlet edges and -g_N on Neumann edges.  The fluxes are evaluated
+    edge by edge from the solution, not from the system matrix.  The
+    first cell's constant is pinned in the solve; its balance follows from
+    the others and from the CG equations, and is checked too."""
+
+    PARTITION = {"left": "N", "bottom": "N", "right": "D", "top": "D",
+                 "inner_vertical": "D", "inner_horizontal": "N"}
+
+    @pytest.mark.parametrize("K", [None, varying_K], ids=["identity", "varying"])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("theta", [-1, 0, 1])
+    def test_every_cell_balances(self, theta, k, K):
+        prob = replace(example1(), K=K, partition=self.PARTITION,
+                       g_N=lambda x, y, t: np.sin(3.0 * x) + y * t)
+        mesh = random_adaptive_mesh(rounds=2, seed=5, partition=prob.partition)
+        sp = EGSpace(mesh, k)
+        assert len(sp.slaves)                      # hanging nodes present
+        donor = interpolate(
+            EGSpace(build_initial(prob.shape, 0.25, prob.partition), k),
+            lambda x, y: prob.exact.p(x, y, 0.3) + 0.2)
+        prev = transfer(donor, sp).cell_values()
+        dt, t_n, pen = 0.01, 0.31, PenaltySpec(1.5, theta)
+        matrix = assemble_mass(sp) / dt + assemble_A_theta(sp, K, pen)
+        b = assemble_rhs(sp, prob, t_n, pen, prev=prev, dt=dt)
+        field = DiscreteField(sp, CondensedSolver(matrix.tocsr(), sp).solve(b))
+
+        tb = sp.tables
+        X, Y = np.array(tb.x), np.array(tb.y)
+        mass = tb.sides ** 2 * ((field.cell_values(0) - prev) / dt @ tb.w)
+        source = tb.sides ** 2 * (prob.f(X, Y, t_n) @ tb.w)
+        flux = np.zeros(mesh.n_active)
+        kinds = set()
+        for g in edge_groups(sp):
+            kinds.add(g.kind)
+            px, py = g.P[..., 0], g.P[..., 1]
+            Kv = (np.broadcast_to(np.eye(2), px.shape + (2, 2)) if K is None
+                  else K(px, py))
+            pen_e = (pen.alpha * np.abs(Kv).reshape(len(g.h), -1).max(axis=1)
+                     / g.h)[:, None]
+            vm, gm = _traces(field, g.minus_rows, g.P)
+            qm = np.einsum("a,eqab,eqb->eq", g.normal, Kv, gm)
+            if g.kind is EdgeKind.INTERIOR:
+                vp, gp = _traces(field, g.plus_rows, g.P)
+                qp = np.einsum("a,eqab,eqb->eq", g.normal, Kv, gp)
+                fn = -0.5 * (qm + qp) + pen_e * (vm - vp)
+            elif g.kind is EdgeKind.DIRICHLET:
+                fn = -qm + pen_e * (vm - prob.g_D(px, py, t_n))
+            else:
+                fn = -prob.g_N(px, py, t_n)
+            out = g.h * (fn @ g.w)                 # int_e F.n, n outward of minus
+            np.add.at(flux, g.minus_rows, out)
+            if g.kind is EdgeKind.INTERIOR:
+                np.add.at(flux, g.plus_rows, -out)
+        assert kinds == set(EdgeKind)
+
+        defect = mass + flux - source
+        scale = max(np.max(np.abs(mass)), np.max(np.abs(source)),
+                    np.max(np.abs(flux)))
+        assert np.max(np.abs(defect)) <= 1e-11 * scale, \
+            np.max(np.abs(defect)) / scale

@@ -7,6 +7,9 @@ from egadapt import (ConfigError, DiscreteField, DomainShape, EGSpace, RunConfig
                      build_initial, cli_main, interpolate, order_dofs,
                      parse_config_file, run_cycles, run_timeloop, writers)
 
+from conftest import random_adaptive_mesh
+from reference import field_vtk as field_vtk_lines, mesh_vtk as mesh_vtk_lines
+
 
 class TestOrderDofs:
     def test_halved_error_quadrupled_dofs(self):
@@ -139,7 +142,7 @@ class TestCli:
         ("--theta-refine", "1.5"), ("--alpha", "-1"), ("--tau", "0"),
         ("--max-iters", "0"), ("--theta-coarse", "1.0"), ("--alpha", "nan"),
         ("--alpha", "inf"), ("--tau", "nan"), ("--dt", "nan"), ("--T", "nan"),
-        ("--dt", "1e-12")])
+        ("--dt", "1e-12"), ("--h0", "1.52587890625e-05")])
     def test_bad_adaptive_parameter_exits_2(self, flag, value, capsys):
         rc = cli_main(["--problem", "example1", "--mode", "adaptive_full",
                        "--h0", "0.25", "--T", "0.01", flag, value])
@@ -257,6 +260,23 @@ class TestWriters:
         assert "POINT_DATA 9" in text
         assert "CELL_DATA 4" in text
         assert text.count("7") >= 4
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_vtk_bytes_match_per_line_oracle(self, k, tmp_path):
+        m = random_adaptive_mesh(rounds=3, seed=8)
+        s = EGSpace(m, k)
+        assert len(s.slaves)                       # hanging nodes present
+        rng = np.random.default_rng(k)
+        coeffs = (rng.standard_normal(s.n_dofs)
+                  * 10.0 ** rng.integers(-20, 20, s.n_dofs))
+        f = DiscreteField(s, s.constraint_matrix @ coeffs)
+        for name, write, oracle, obj in (
+                ("mesh", writers.mesh_vtk, mesh_vtk_lines, m),
+                ("field", writers.field_vtk, field_vtk_lines, f)):
+            got, want = tmp_path / f"{name}.vtk", tmp_path / f"{name}_ref.vtk"
+            write(obj, str(got))
+            oracle(obj, str(want))
+            assert got.read_bytes() == want.read_bytes()
 
     def test_matrix_market_dump(self, tmp_path):
         from egadapt import assemble_mass

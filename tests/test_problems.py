@@ -1,11 +1,15 @@
 import math
+import weakref
 
 import mpmath
 import numpy as np
 import pytest
 
-from egadapt import by_name, clockwise_angle
+from egadapt import (EGSpace, RunConfig, by_name, clockwise_angle, problems,
+                     run_timeloop)
 from egadapt.problems import example1, example2, smoke_linear
+
+from conftest import random_adaptive_mesh
 
 
 def mp_angle(x, y):
@@ -183,3 +187,74 @@ class TestSmokeLinear:
         assert by_name("smoke_linear").shape.value == "unit_square"
         with pytest.raises(KeyError):
             by_name("nope")
+
+
+def _record_calls(monkeypatch, name):
+    """Wrap ``problems.<name>``; returns the list of x arrays it is called with."""
+    seen, real = [], getattr(problems, name)
+
+    def wrapper(x, y):
+        seen.append(x)
+        return real(x, y)
+    monkeypatch.setattr(problems, name, wrapper)
+    return seen
+
+
+class TestCellPointCache:
+    """The singular factor is evaluated once per space at its cell points."""
+
+    @pytest.fixture(params=[1, 2])
+    def space(self, request):
+        return EGSpace(random_adaptive_mesh(rounds=2, seed=4), request.param)
+
+    @pytest.mark.parametrize("make", [example1, example2])
+    def test_cached_results_equal_fresh_evaluation(self, space, make,
+                                                   monkeypatch):
+        assert len(space.slaves)                     # a hanging mesh
+        prob = make()
+        x, y = space.tables.x, space.tables.y
+        fresh_x, fresh_y = np.array(x), np.array(y)  # plain copies
+        assert type(fresh_x) is np.ndarray
+        calls = _record_calls(monkeypatch, "_singular_values")
+        for t in (0.0, 0.05, 0.37, 1.0):
+            for fn in (prob.f, prob.g_D, prob.exact.p, prob.exact.grad):
+                want = np.asarray(fn(fresh_x, fresh_y, t))
+                for _ in range(2):
+                    assert np.array_equal(np.asarray(fn(x, y, t)), want)
+        # one evaluation at the cell points, the rest on the copies
+        assert sum(a is x for a in calls) == 1
+        assert sum(a is fresh_x for a in calls) == len(calls) - 1
+
+    def test_other_arrays_are_not_served_from_the_cache(self, space):
+        x, y = space.tables.x, space.tables.y
+        f = example1().f
+        cached = f(x, y, 0.5)
+        for args in ((y, x), (x, y + 0.0), (x[:1], y[:1]), (x + 0.0, y)):
+            assert np.array_equal(
+                f(*args, 0.5), f(*(np.array(a) for a in args), 0.5))
+        assert np.array_equal(f(x, y, 0.5), cached)
+
+    def test_points_and_cached_values_are_read_only(self, space):
+        x, y = space.tables.x, space.tables.y
+        for a in (x, y, *problems._singular(x, y)):
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+
+    def test_cache_is_freed_with_the_space(self):
+        space = EGSpace(random_adaptive_mesh(rounds=1, seed=2), 1)
+        s, _, _ = problems._singular(space.tables.x, space.tables.y)
+        refs = [weakref.ref(o) for o in (space, space.tables, s)]
+        del space, s
+        assert all(r() is None for r in refs)
+
+    def test_uniform_run_evaluates_the_cell_grid_once(self, monkeypatch):
+        calls = _record_calls(monkeypatch, "_singular")
+        evaluations = _record_calls(monkeypatch, "_singular_values")
+        steps = 5
+        reports = run_timeloop(RunConfig(problem="example1", mode="uniform",
+                                         h0=0.25, dt=0.01, T_final=0.05))
+        assert len(reports) == steps
+        grid = 48 * 16       # L-shape cells at h0 = 1/4, 4 x 4 Gauss points
+        # f in the load vector and the indicators, exact p and grad
+        assert sum(np.size(x) == grid for x in calls) == 4 * steps
+        assert sum(np.size(x) == grid for x in evaluations) == 1
