@@ -26,6 +26,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .mesh import EAST, KINDS, NORMALS, NORTH, SUB_FULL, EdgeKind
+from .problems import at_points
 from .quadrature import edge_rule
 from .space import DiscreteField, face_points, tabulate
 
@@ -209,8 +210,7 @@ def assemble_rhs(space, problem, t_n, penalty=PenaltySpec(), prev=None, dt=None)
     """
     tb = space.tables
     b = np.zeros(space.n_dofs)
-    F = np.asarray(problem.f(tb.x, tb.y, t_n), dtype=float)
-    F = np.broadcast_to(F, tb.x.shape).copy()
+    F = at_points(problem.f, tb.x, tb.y, t_n)
     if prev is not None:
         if dt is None:
             raise ValueError("dt is required when a previous state is supplied")
@@ -223,14 +223,10 @@ def assemble_rhs(space, problem, t_n, penalty=PenaltySpec(), prev=None, dt=None)
         if g.kind is EdgeKind.INTERIOR:
             continue
         if g.kind is EdgeKind.NEUMANN:
-            gn = np.broadcast_to(
-                np.asarray(problem.g_N(g.P[..., 0], g.P[..., 1], t_n), float),
-                g.P.shape[:2])
+            gn = at_points(problem.g_N, g.P[..., 0], g.P[..., 1], t_n)
             bloc = np.einsum("e,q,eq,qi->ei", g.h, g.w, gn, g.Vm)
         else:
-            gd = np.broadcast_to(
-                np.asarray(problem.g_D(g.P[..., 0], g.P[..., 1], t_n), float),
-                g.P.shape[:2])
+            gd = at_points(problem.g_D, g.P[..., 0], g.P[..., 1], t_n)
             fm, _, kmax = g.conormal(problem.K)
             if problem.K is None:
                 flux = np.einsum("q,eq,qi->ei", g.w, gd, g.Gnm)

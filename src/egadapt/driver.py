@@ -16,11 +16,12 @@ from __future__ import annotations
 import argparse
 import math
 import os
-from dataclasses import dataclass, fields as dc_fields, replace
+import typing
+from dataclasses import astuple, dataclass, fields as dc_fields, replace
 
-from . import adapt, problems, space as space_mod, writers
+from . import adapt, estimator, problems, space as space_mod, writers
 from .assembly import PenaltySpec, SolverError
-from .mesh import ConfigError, build_initial
+from .mesh import ConfigError, _root_grid_size, build_initial
 
 
 @dataclass
@@ -45,18 +46,19 @@ class RunConfig:
     snapshot_times: tuple = (0.1, 0.25, 0.5)
 
     def validate(self):
-        if self.problem not in ("example1", "example2", "smoke_linear"):
+        if self.problem not in problems._REGISTRY:
             raise ConfigError(f"unknown problem '{self.problem}'")
         if self.mode not in ("uniform", "adaptive_pure_refine", "adaptive_full"):
             raise ConfigError(f"unknown mode '{self.mode}'")
-        if self.h0 <= 0:
-            raise ConfigError("h0 is required and must be positive")
         if self.k not in (1, 2):
             raise ConfigError(f"k must be 1 or 2, got {self.k}")
         if not self.dt > 0:
             raise ConfigError("dt must be positive")
         if self.cycles < 1:
             raise ConfigError("cycles must be at least 1")
+        # the last cycle runs on the finest root grid, h0 / 2**(cycles - 1)
+        _root_grid_size(math.ldexp(self.h0, 1 - self.cycles),
+                        problems.by_name(self.problem).shape)
         try:
             PenaltySpec(self.alpha, self.theta)
             self.adapt_params()
@@ -69,10 +71,8 @@ class RunConfig:
         The adaptive parameters are checked in every mode; a uniform run
         then marks nothing: no coarsening and an infinite tolerance.
         """
-        params = adapt.AdaptParams(
-            tau=self.tau, theta_coarse=self.theta_coarse,
-            theta_refine=self.theta_refine, max_iters=self.max_iters,
-            coarsen_rule=self.coarsen_rule)
+        params = adapt.AdaptParams(**{f.name: getattr(self, f.name)
+                                      for f in dc_fields(adapt.AdaptParams)})
         if self.mode == "uniform":
             return replace(params, tau=math.inf, theta_coarse=0.0)
         return params
@@ -119,11 +119,7 @@ def order_dofs(errors, dofs, dim=2):
 
 
 # ----------------------------------------------------------------------
-# CSV output
-
-_STEP_COLUMNS = ("n", "t_n", "dofs", "h_min_n", "eta_total", "eta_sum",
-                 "eta_linf", "error_h1", "error_linf", "ei", "adapt_iters")
-
+# CSV output: one column per field of the record's dataclass
 
 def _fmt(v):
     if v is None:
@@ -133,39 +129,18 @@ def _fmt(v):
     return str(v)
 
 
-def format_step_row(r):
-    vals = (r.n, r.t_n, r.dofs, r.h_min_n, r.eta_total, r.eta_sum, r.eta_linf,
-            r.error_h1, r.error_linf, r.ei, r.adapt_iters)
-    return ",".join(_fmt(v) for v in vals)
+def _csv_line(values):
+    return ",".join(_fmt(v) for v in values) + "\n"
 
 
 def write_cycle_csv(summaries, path):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("cycle,dofs,error_linf,eta_final,order_dofs\n")
-        for s in summaries:
-            fh.write(",".join(_fmt(v) for v in
-                              (s.cycle, s.dofs, s.error_linf, s.eta_final,
-                               s.order_dofs)) + "\n")
+        fh.write(_csv_line(f.name for f in dc_fields(CycleSummary)))
+        fh.writelines(_csv_line(astuple(s)) for s in summaries)
 
 
 # ----------------------------------------------------------------------
 # time loops
-
-class _StreamingCSV:
-    """Per-step CSV writer flushed after every row (survives aborts)."""
-
-    def __init__(self, path):
-        self.fh = open(path, "w", encoding="utf-8")
-        self.fh.write(",".join(_STEP_COLUMNS) + "\n")
-        self.fh.flush()
-
-    def write(self, report):
-        self.fh.write(format_step_row(report) + "\n")
-        self.fh.flush()
-
-    def close(self):
-        self.fh.close()
-
 
 def _snapshot(config, cycle, mesh, fld, t):
     if config.output_dir is None:
@@ -188,11 +163,13 @@ def run_timeloop(config, problem=None, cycle=1):
     sp = space_mod.EGSpace(mesh, config.k)
     fld = space_mod.interpolate(sp, problem.p0)
 
-    csv = None
+    csv = None     # flushed after every row, so an aborted run keeps its rows
     if config.output_dir is not None:
         os.makedirs(config.output_dir, exist_ok=True)
-        csv = _StreamingCSV(os.path.join(config.output_dir,
-                                         f"steps_c{cycle}.csv"))
+        csv = open(os.path.join(config.output_dir, f"steps_c{cycle}.csv"),
+                   "w", encoding="utf-8")
+        csv.write(_csv_line(f.name for f in dc_fields(estimator.StepReport)))
+        csv.flush()
     reports = []
     tracker = adapt.RunTracker()
     snap_times = sorted(config.snapshot_times)
@@ -213,7 +190,8 @@ def run_timeloop(config, problem=None, cycle=1):
                 config.dt, tracker, pure_refine=pure)
             reports.append(rep)
             if csv:
-                csv.write(rep)
+                csv.write(_csv_line(astuple(rep)))
+                csv.flush()
             maybe_snapshot(t_n, state.mesh, state.field)
     finally:
         if csv:
@@ -246,19 +224,26 @@ def run_cycles(config, problem=None):
 # ----------------------------------------------------------------------
 # configuration parsing and CLI
 
-_CONFIG_FIELDS = {f.name: f for f in dc_fields(RunConfig)}
+def _base_type(tp):
+    """``float`` for ``float | None``; other types as they are."""
+    return next((a for a in typing.get_args(tp) if a is not type(None)), tp)
+
+
+#: the type of each run option, in field order; it drives the parsing of
+#: a flag's or a config-file key's text
+_TYPES = {name: _base_type(tp)
+          for name, tp in typing.get_type_hints(RunConfig).items()}
+
+#: the flags of a field, where they are not ``--<name>`` with ``-`` for ``_``
+_FLAGS = {"T_final": ("--T", "--T_final")}
 
 
 def _coerce(name, text):
     text = text.strip()
     try:
-        if name in ("k", "theta", "max_iters", "cycles"):
-            return int(text)
-        if name in ("problem", "mode", "output_dir", "coarsen_rule"):
-            return text
-        if name == "snapshot_times":
+        if _TYPES[name] is tuple:
             return tuple(float(v) for v in text.split(",") if v.strip())
-        return float(text)
+        return _TYPES[name](text)
     except ValueError as exc:
         raise ConfigError(f"bad value for '{name}': {text!r}") from exc
 
@@ -276,7 +261,7 @@ def parse_config_file(path):
                                   f"got: {raw.rstrip()}")
             key, text = line.split("=", 1)
             key = key.strip()
-            if key not in _CONFIG_FIELDS:
+            if key not in _TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown key '{key}' "
                                   f"in line: {raw.rstrip()}")
             values[key] = _coerce(key, text)
@@ -288,25 +273,9 @@ def _build_parser():
         prog="egadapt",
         description="Adaptive enriched Galerkin solver for parabolic problems")
     p.add_argument("--config", help="key=value configuration file")
-    p.add_argument("--problem", choices=["example1", "example2", "smoke_linear"])
-    p.add_argument("--mode", choices=["uniform", "adaptive_pure_refine",
-                                      "adaptive_full"])
-    p.add_argument("--h0", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--theta", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--T", "--T_final", dest="T_final", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--theta-coarse", dest="theta_coarse", type=float)
-    p.add_argument("--theta-refine", dest="theta_refine", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--coarsen-rule", dest="coarsen_rule",
-                   choices=["threshold", "fraction"])
-    p.add_argument("--cycles", type=int)
-    p.add_argument("--output-dir", dest="output_dir")
-    p.add_argument("--snapshot-times", dest="snapshot_times",
-                   help="comma separated times")
+    for name in _TYPES:
+        p.add_argument(*_FLAGS.get(name, ("--" + name.replace("_", "-"),)),
+                       dest=name)
     return p
 
 
@@ -318,20 +287,14 @@ def cli_main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        values = {}
+        values = {"output_dir": "."}
         if args.config:
             values.update(parse_config_file(args.config))
-        for name in _CONFIG_FIELDS:
-            v = getattr(args, name, None)
-            if v is None:
-                continue
-            if name == "snapshot_times" and isinstance(v, str):
-                v = _coerce(name, v)
-            values[name] = v
+        values.update((name, _coerce(name, getattr(args, name)))
+                      for name in _TYPES if getattr(args, name) is not None)
         config = RunConfig(**values)
-        if config.output_dir is None:
-            config.output_dir = "."
         config.validate()
+        os.makedirs(config.output_dir, exist_ok=True)
     except (ConfigError, OSError, UnicodeDecodeError, TypeError) as exc:
         print(f"configuration error: {exc}")
         return 2

@@ -26,6 +26,7 @@ import numpy as np
 
 from .assembly import edge_groups
 from .mesh import EdgeKind, SQRT2
+from .problems import at_points
 # unused here, but perfbench/tracing.py wraps this name and fails without it
 from .quadrature import edge_rule  # noqa: F401
 
@@ -131,9 +132,7 @@ def compute_indicators(space, field, prev_vals, problem, t_n, dt, alpha):
     ncells = len(tb.sides)
 
     vals = field.cell_values(0)
-    resid = np.broadcast_to(np.asarray(problem.f(tb.x, tb.y, t_n), float),
-                            vals.shape) \
-        - (vals - prev_vals) / dt
+    resid = at_points(problem.f, tb.x, tb.y, t_n) - (vals - prev_vals) / dt
     if problem.K is not None:
         resid = resid + _div_k_grad(field, problem.K, problem.K_grad)
     elif space.k == 2:
@@ -163,15 +162,11 @@ def compute_indicators(space, field, prev_vals, problem, t_n, dt, alpha):
             np.add.at(eta4_sq, g.minus_rows, e4sq)
             np.add.at(eta4_sq, g.plus_rows, e4sq)
         elif g.kind is EdgeKind.NEUMANN:
-            gn = np.broadcast_to(
-                np.asarray(problem.g_N(g.P[..., 0], g.P[..., 1], t_n), float),
-                flux_m.shape)
+            gn = at_points(problem.g_N, g.P[..., 0], g.P[..., 1], t_n)
             e3sq = g.h ** 4 * ((gn + flux_m) ** 2 @ g.w)
             np.add.at(eta3_sq, g.minus_rows, e3sq)
         else:
-            gd = np.broadcast_to(
-                np.asarray(problem.g_D(g.P[..., 0], g.P[..., 1], t_n), float),
-                flux_m.shape)
+            gd = at_points(problem.g_D, g.P[..., 0], g.P[..., 1], t_n)
             gap = gd - Cm @ g.Vm.T
             e5sq = kmax ** 2 * g.h ** 2 * (gap ** 2 @ g.w)
             np.add.at(eta5_sq, g.minus_rows, e5sq)

@@ -189,15 +189,15 @@ def _rows_in(act, ids):
 _MAX_ROOT_GRID = 2 ** 10
 
 
-def _root_grid_size(h0, span):
-    """Root cells per side of a domain ``span`` wide, checked before
+def _root_grid_size(h0, shape):
+    """Root cells per side of the domain ``shape``, checked before
     anything sized by ``h0`` is allocated."""
     if not (0.0 < h0 <= 1.0):
         raise ConfigError(f"h0 must lie in (0, 1], got {h0}")
     mant, _ = math.frexp(h0)
     if mant != 0.5:
         raise ConfigError(f"h0 must be a power-of-two fraction, got {h0}")
-    n = int(round(span / h0))
+    n = int(round((1.0 if shape is DomainShape.UNIT_SQUARE else 2.0) / h0))
     if n > _MAX_ROOT_GRID:
         raise ConfigError(f"h0={h0} gives a root grid of {n} x {n} cells, "
                           f"more than {_MAX_ROOT_GRID} x {_MAX_ROOT_GRID}")
@@ -526,7 +526,7 @@ def build_initial(shape, h0, partition=None):
     """
     if not isinstance(shape, DomainShape):
         shape = DomainShape(shape)
-    n = _root_grid_size(h0, 1.0 if shape is DomainShape.UNIT_SQUARE else 2.0)
+    n = _root_grid_size(h0, shape)
     if partition is None:
         partition = all_dirichlet(shape)
     inside = np.ones((n, n), dtype=bool)          # indexed [rj, ri]

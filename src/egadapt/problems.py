@@ -58,6 +58,11 @@ class ProblemSpec:
     exact: ExactSolution | None = None
 
 
+def at_points(fn, x, y, t):
+    """``fn(x, y, t)`` as floats, broadcast to the shape of the points."""
+    return np.broadcast_to(np.asarray(fn(x, y, t), float), np.shape(x))
+
+
 def clockwise_angle(x, y):
     """Angle in [0, 3 pi / 2] measured clockwise from the positive x-axis.
 

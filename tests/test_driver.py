@@ -297,3 +297,126 @@ class TestWriters:
         assert "mesh_c1_t0.25.svg" in names
         assert "mesh_c1_t0.25.vtk" in names
         assert "field_c1_t0.25.vtk" in names
+
+
+
+def _record_runs(monkeypatch):
+    """Replace the driver's run functions by stubs that record the config."""
+    from egadapt import StepReport, driver
+    calls = []
+
+    def fake_timeloop(config, problem=None, cycle=1):
+        calls.append(config)
+        return [StepReport(1, 0.1, 9, 0.5, 0.0, 0.0, 0.0)]
+
+    def fake_cycles(config, problem=None):
+        calls.append(config)
+        return [], []
+
+    monkeypatch.setattr(driver, "run_timeloop", fake_timeloop)
+    monkeypatch.setattr(driver, "run_cycles", fake_cycles)
+    return calls
+
+
+class TestCliFailsFast:
+    @pytest.mark.parametrize("target", ["empty", "file"])
+    def test_unusable_output_dir_exits_2(self, target, tmp_path, capsys):
+        path = ""
+        if target == "file":
+            path = tmp_path / "taken"
+            path.write_text("")
+        rc = cli_main(["--problem", "smoke_linear", "--mode", "uniform",
+                       "--h0", "0.5", "--dt", "0.05", "--T", "0.1",
+                       "--output-dir", str(path)])
+        assert rc == 2
+        assert capsys.readouterr().out.startswith("configuration error:")
+
+    def test_oversized_cycles_rejected_before_first_cycle(
+            self, tmp_path, monkeypatch, capsys):
+        # cycle 11 halves h0 = 1/2 ten times: a 2048 x 2048 root grid
+        calls = _record_runs(monkeypatch)
+        rc = cli_main(["--problem", "smoke_linear", "--mode", "uniform",
+                       "--h0", "0.5", "--cycles", "11",
+                       "--output-dir", str(tmp_path)])
+        assert rc == 2
+        assert calls == []
+        assert "2048 x 2048" in capsys.readouterr().out
+
+    def test_finest_allowed_cycle_passes_validation(self):
+        RunConfig(problem="smoke_linear", mode="uniform", h0=0.5,
+                  cycles=10).validate()
+
+
+#: for every ``RunConfig`` field, a text and the value it must give,
+#: unlike the field's default
+_SAMPLES = {
+    "problem": ("example2", "example2"),
+    "mode": ("adaptive_full", "adaptive_full"),
+    "h0": ("0.125", 0.125), "k": ("2", 2), "theta": ("-1", -1),
+    "alpha": ("2.5", 2.5), "dt": ("0.05", 0.05), "T_final": ("0.25", 0.25),
+    "tau": ("0.002", 0.002), "theta_coarse": ("0.3", 0.3),
+    "theta_refine": ("0.6", 0.6), "max_iters": ("4", 4),
+    "coarsen_rule": ("fraction", "fraction"), "cycles": ("2", 2),
+    "output_dir": ("out", "out"),
+    "snapshot_times": ("0.05, 0.2", (0.05, 0.2))}
+
+_BASE = {"problem": "smoke_linear", "mode": "uniform", "h0": "0.5",
+         "dt": "0.05", "T_final": "0.1"}
+
+
+def _flag(name):
+    return "--T" if name == "T_final" else "--" + name.replace("_", "-")
+
+
+class TestRunOptionSchema:
+    """A run option reads the same from a flag and from a config file."""
+
+    def _via_file(self, tmp_path, values):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        return cli_main(["--config", str(cfgfile)])
+
+    def _via_flags(self, values):
+        return cli_main([a for k, v in values.items() for a in (_flag(k), v)])
+
+    def test_samples_cover_every_field(self):
+        from dataclasses import fields
+        assert set(_SAMPLES) == {f.name for f in fields(RunConfig)}
+        for name, (_, value) in _SAMPLES.items():
+            assert getattr(RunConfig(), name) != value
+
+    @pytest.mark.parametrize("name", sorted(_SAMPLES))
+    def test_flag_and_file_give_equal_config(self, name, tmp_path,
+                                             monkeypatch):
+        calls = _record_runs(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        text, value = _SAMPLES[name]
+        values = {**_BASE, name: text}
+        assert self._via_flags(values) == 0
+        assert self._via_file(tmp_path, values) == 0
+        flag_cfg, file_cfg = calls
+        assert flag_cfg == file_cfg
+        assert getattr(flag_cfg, name) == value
+
+    @pytest.mark.parametrize("name, text", [
+        ("k", "1.5"), ("h0", "abc"), ("snapshot_times", "0.1,x"),
+        ("problem", "foo"), ("mode", "bar"), ("coarsen_rule", "lowest")])
+    def test_bad_value_same_message(self, name, text, tmp_path, monkeypatch,
+                                    capsys):
+        calls = _record_runs(monkeypatch)
+        values = {**_BASE, name: text}
+        assert self._via_flags(values) == 2
+        from_flag = capsys.readouterr()
+        assert self._via_file(tmp_path, values) == 2
+        from_file = capsys.readouterr()
+        assert from_flag.out.startswith("configuration error:")
+        assert from_flag.out == from_file.out
+        assert from_flag.err == from_file.err == ""
+        assert calls == []
+
+    def test_help_lists_every_field(self, capsys):
+        from dataclasses import fields
+        assert cli_main(["--help"]) == 0
+        out = capsys.readouterr().out
+        for f in fields(RunConfig):
+            assert _flag(f.name) + " " in out
