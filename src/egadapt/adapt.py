@@ -32,6 +32,8 @@ import logging
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import assembly, estimator, space as space_mod
 
 logger = logging.getLogger(__name__)
@@ -60,10 +62,12 @@ class AdaptParams:
             raise ValueError("coarsen_rule must be 'threshold' or 'fraction'")
 
 
-def _items(indicators):
+def _arrays(indicators):
+    """Cell ids and indicators as parallel arrays."""
     if isinstance(indicators, estimator.CellIndicators):
-        return list(zip(indicators.cell_ids, indicators.eta_T))
-    return list(indicators.items())
+        return indicators.cell_ids, indicators.eta_T
+    return (np.fromiter(indicators.keys(), np.int64, len(indicators)),
+            np.fromiter(indicators.values(), float, len(indicators)))
 
 
 def dorfler_mark(indicators, eta_total, theta_refine):
@@ -73,21 +77,16 @@ def dorfler_mark(indicators, eta_total, theta_refine):
     accumulated squared indicators reach theta_refine * eta_total**2.
     Returns an empty set when all indicators vanish.
     """
-    items = _items(indicators)
-    if any(v < 0 for _, v in items):
+    ids, eta = _arrays(indicators)
+    if np.any(eta < 0):
         raise ValueError("indicators must be nonnegative")
-    items.sort(key=lambda kv: (-kv[1], kv[0]))
-    threshold = theta_refine * eta_total ** 2
-    marked = set()
-    acc = 0.0
-    for cid, v in items:
-        if v <= 0.0:
-            break
-        marked.add(cid)
-        acc += v * v
-        if acc >= threshold:
-            break
-    return marked
+    order = np.lexsort((ids, -eta))
+    v = eta[order]
+    v = v[v > 0.0]
+    # cumsum adds in sequence, as a running sum would
+    reached = np.flatnonzero(np.cumsum(v * v) >= theta_refine * eta_total ** 2)
+    count = reached[0] + 1 if len(reached) else len(v)
+    return set(ids[order[:count]].tolist())
 
 
 def coarsen_mark(indicators, theta_coarse, rule="threshold"):
@@ -96,15 +95,13 @@ def coarsen_mark(indicators, theta_coarse, rule="threshold"):
     With rule 'fraction', instead mark the lowest theta_coarse fraction of
     the cells (by indicator, ties by id).
     """
-    items = _items(indicators)
-    if not items:
+    ids, eta = _arrays(indicators)
+    if not len(ids):
         return set()
     if rule == "fraction":
-        items.sort(key=lambda kv: (kv[1], kv[0]))
-        count = int(theta_coarse * len(items))
-        return {cid for cid, _ in items[:count]}
-    cap = theta_coarse * max(v for _, v in items)
-    return {cid for cid, v in items if v <= cap}
+        count = int(theta_coarse * len(ids))
+        return set(ids[np.lexsort((ids, eta))[:count]].tolist())
+    return set(ids[eta <= theta_coarse * eta.max()].tolist())
 
 
 @dataclass

@@ -177,6 +177,18 @@ class EdgeArrays(NamedTuple):
     hanging: np.ndarray
 
 
+#: (shift, mask) passes that move bit b of a value below 2**32 to bit 2b
+_SPREAD = ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
+           (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
+           (1, 0x5555555555555555))
+
+
+def _spread_bits(v):
+    for s, mask in _SPREAD:
+        v = (v | (v << s)) & mask
+    return v
+
+
 def _rows_in(act, ids):
     """Rows of ``ids`` in the sorted id array ``act``; -1 where absent."""
     ids = np.asarray(ids, dtype=np.int64)
@@ -309,6 +321,20 @@ class Mesh:
             raise MeshError("mesh too deep for 64-bit lattice keys")
         return (((k * self.i[:, None] + a) << shift) * width
                 + ((k * self.j[:, None] + b) << shift))
+
+    def morton_ranges(self):
+        """First and last Morton index (inclusive) of the squares of the
+        finest level's grid that each active cell covers.
+
+        The root grid's side is a power of two, so the bounding box is one
+        quadtree: a Morton index interleaves the bits of the grid position,
+        x at the even places, and every cell covers one aligned range.
+        """
+        if len(self._table) << self.max_level > 2 ** 31:
+            raise MeshError("mesh too deep for 64-bit Morton indices")
+        shift = self.max_level - self.level
+        lo = _spread_bits(self.i << shift) | (_spread_bits(self.j << shift) << 1)
+        return lo, lo + (1 << 2 * shift) - 1
 
     # ------------------------------------------------------------------
     # edges

@@ -11,7 +11,8 @@ DoF numbering is deterministic: Lagrange nodes are numbered from integer
 lattice keys (exact node positions on the finest level's grid) in first
 encounter order, sweeping active cells by ascending id and local nodes in
 lexicographic (x fastest) order; the per-cell constants follow, ordered by
-cell id.
+cell id.  The LU factor eliminates the dofs in a separate order
+(:meth:`EGSpace.factor_order`), which leaves this numbering unchanged.
 
 A space's cell quadrature points are exposed once, as the read-only
 coordinate arrays ``tables.x`` and ``tables.y``; problem data evaluated
@@ -181,6 +182,42 @@ class EGSpace:
         cols = np.concatenate([ids, self._masters.ravel()])
         vals = np.concatenate([np.ones(len(ids)), self._weights.ravel()])
         return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+    def factor_order(self):
+        """Fill-reducing elimination order of the dofs: nested dissection
+        along the quadtree.
+
+        A dof's support is the set of cells whose ``cell_dofs`` hold it; a
+        cell constant's support also takes in the cell's interior-edge
+        neighbors, which the penalty terms couple it to.  The Morton
+        indices form a binary tree, the quadtree with each level split in
+        two (across y, then across x), and each dof belongs to the
+        smallest subtree covering its support: the common prefix of the
+        support's least and greatest Morton index.  The dofs follow
+        subtree postorder: by the subtree's last Morton index, the deeper
+        subtree first on a tie, then by dof number.  Every entry of the
+        condensed matrix couples two dofs whose supports share a cell, so
+        their subtrees nest, and the factor fills in no entry between
+        disjoint subtrees.
+        """
+        lo, hi = self.mesh.morton_ranges()
+        dof_lo = np.full(self.n_dofs, np.iinfo(np.int64).max)
+        dof_hi = np.zeros(self.n_dofs, dtype=np.int64)
+        np.minimum.at(dof_lo, self.cell_dofs, lo[:, None])
+        np.maximum.at(dof_hi, self.cell_dofs, hi[:, None])
+        e = self.mesh.edge_arrays
+        inner = e.plus >= 0
+        for a, b in ((e.minus[inner], e.plus[inner]),
+                     (e.plus[inner], e.minus[inner])):
+            np.minimum.at(dof_lo, self.n_cg + a, lo[b])
+            np.maximum.at(dof_hi, self.n_cg + a, hi[b])
+        # the prefix ends above the highest bit of lo ^ hi; smeared down,
+        # that bit leaves the mask 2**b - 1 of the exact bit length b,
+        # which spans the subtree's indices below its prefix
+        span = dof_lo ^ dof_hi
+        for s in (1, 2, 4, 8, 16, 32):
+            span |= span >> s
+        return np.lexsort((span, dof_lo | span))
 
     @cached_property
     def tables(self):

@@ -183,6 +183,38 @@ def edge_matrix(space, edge, K=None, penalty=PenaltySpec()):
 
 
 # ----------------------------------------------------------------------
+# marking, one cell at a time
+
+def dorfler_mark_loop(indicators, eta_total, theta_refine):
+    """Bulk marking by a running sum over the cells sorted by descending
+    indicator, ties by ascending id."""
+    items = sorted(indicators.items(), key=lambda kv: (-kv[1], kv[0]))
+    threshold = theta_refine * eta_total ** 2
+    marked = set()
+    acc = 0.0
+    for cid, v in items:
+        if v <= 0.0:
+            break
+        marked.add(cid)
+        acc += v * v
+        if acc >= threshold:
+            break
+    return marked
+
+
+def coarsen_mark_loop(indicators, theta_coarse, rule="threshold"):
+    """Coarsening marks, cell by cell."""
+    items = list(indicators.items())
+    if not items:
+        return set()
+    if rule == "fraction":
+        items.sort(key=lambda kv: (kv[1], kv[0]))
+        return {cid for cid, _ in items[:int(theta_coarse * len(items))]}
+    cap = theta_coarse * max(v for _, v in items)
+    return {cid for cid, v in items if v <= cap}
+
+
+# ----------------------------------------------------------------------
 # legacy-VTK output, one write per line
 
 _CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))     # SW, SE, NE, NW

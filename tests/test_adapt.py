@@ -15,6 +15,17 @@ from egadapt import adapt as adapt_mod
 from egadapt.adapt import RunTracker, adapt_step
 from egadapt.problems import example1, smoke_linear
 
+from reference import coarsen_mark_loop, dorfler_mark_loop
+
+
+def _random_indicators(rng):
+    """Indicators over shuffled ids with repeated values and zeros."""
+    n = int(rng.integers(0, 40))
+    ids = rng.permutation(4 * n)[:n].tolist()
+    vals = rng.choice([0.0, 0.25, 1.0 / 3.0, 0.5], size=n)
+    vals = np.where(rng.random(n) < 0.5, rng.random(n), vals).tolist()
+    return dict(zip(ids, vals))
+
 
 class TestDorflerMark:
     def test_half_fraction(self):
@@ -61,6 +72,15 @@ class TestDorflerMark:
                     break
             assert len(marked) == best
 
+    def test_matches_running_sum(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            ind = _random_indicators(rng)
+            total = math.sqrt(sum(v * v for v in ind.values()))
+            theta = float(rng.choice([0.2, 0.4, 0.5, 1.0 - 1e-12]))
+            assert dorfler_mark(ind, total, theta) == dorfler_mark_loop(
+                ind, total, theta)
+
 
 class TestCoarsenMark:
     def test_threshold_rule(self):
@@ -76,6 +96,15 @@ class TestCoarsenMark:
     def test_fraction_rule(self):
         ind = {1: 4.0, 2: 3.0, 3: 2.0, 4: 1.0}
         assert coarsen_mark(ind, 0.5, rule="fraction") == {3, 4}
+
+    @pytest.mark.parametrize("rule", ["threshold", "fraction"])
+    def test_matches_cell_loop(self, rule):
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            ind = _random_indicators(rng)
+            theta = float(rng.choice([0.0, 0.3, 0.5, 0.9]))
+            assert coarsen_mark(ind, theta, rule) == coarsen_mark_loop(
+                ind, theta, rule)
 
 
 class TestAdaptStep:

@@ -2,7 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from egadapt import (CondensedSolver, DiscreteField, DomainShape, EdgeKind,
                      EGSpace, PenaltySpec, SolverError,
@@ -14,6 +16,7 @@ from egadapt.assembly import edge_groups
 
 from conftest import random_adaptive_mesh
 from reference import edge_matrix
+from test_mesh import HISTORIES, _random_history
 
 
 def single_cell_space(k=1):
@@ -293,19 +296,115 @@ class TestConstraintMatrix:
     def test_condensed_matrix_entry_for_entry(self, k):
         s = EGSpace(random_adaptive_mesh(seed=4), k)
         assert s.constraints
-        S = (assemble_mass(s) / 0.01
-             + assemble_A_theta(s, None, PenaltySpec(1.0, -1))).tocsr()
+        S = euler_matrix(s, theta=-1)
         solver = CondensedSolver(S, s)
-        pins = [s.n_cg]
-        C = reference_constraint_matrix(s, pins)
-        diag = np.zeros(s.n_dofs)
-        diag[sorted(set(s.constraints) | set(pins))] = 1.0
-        ref = (C.T @ S @ C + sparse.diags(diag)).tocsc()
-        assert np.array_equal(solver.C.toarray(), C.toarray())
-        assert np.array_equal(solver.matrix_c.toarray(), ref.toarray())
+        C, ref = oracle_condensed(s, S)
+        # the solver's unknowns are the dofs in its factor order
+        p = solver.order
+        assert np.array_equal(solver.C.toarray(), C.toarray()[:, p])
+        assert np.array_equal(solver.matrix_c.toarray(),
+                              ref.toarray()[np.ix_(p, p)])
+
+    def test_factoring_leaves_the_space_intact(self):
+        s = EGSpace(random_adaptive_mesh(seed=4), 1)
+        S = euler_matrix(s)
+        C = s.constraint_matrix
+        before = [a.copy() for a in (C.data, C.indices, C.indptr)]
+        first = CondensedSolver(S, s).lu.nnz
+        for a, b in zip(before, (C.data, C.indices, C.indptr)):
+            assert np.array_equal(a, b)
+        assert CondensedSolver(S, s).lu.nnz == first
+
+
+def euler_matrix(space, theta=0):
+    """Backward-Euler system M / dt + A_theta with dt = 0.01."""
+    return (assemble_mass(space) / 0.01
+            + assemble_A_theta(space, None, PenaltySpec(1.0, theta))).tocsr()
+
+
+def oracle_condensed(space, S):
+    """Constraint map and condensed matrix of ``S`` with the first cell's
+    constant pinned, in dof numbering, by the per-dof loop."""
+    pins = [space.n_cg]
+    C = reference_constraint_matrix(space, pins)
+    diag = np.zeros(space.n_dofs)
+    diag[sorted(set(space.constraints) | set(pins))] = 1.0
+    return C, (C.T @ S @ C + sparse.diags(diag)).tocsc()
+
+
+def _morton(i, j):
+    return sum((((i >> b) & 1) << 2 * b) | (((j >> b) & 1) << (2 * b + 1))
+               for b in range(max(i, j).bit_length()))
+
+
+def subtree_oracle(space):
+    """First and last Morton index of the smallest binary subtree (common
+    Morton prefix) that covers each dof's support, by Python integers, one
+    cell at a time."""
+    mesh = space.mesh
+    ranges = []
+    for c in mesh.active_cells():
+        d = mesh.max_level - c.level
+        lo = _morton(c.i << d, c.j << d)
+        ranges.append((lo, lo + 4 ** d - 1))
+    support = [set() for _ in range(space.n_dofs)]
+    for row, dofs in enumerate(space.cell_dofs.tolist()):
+        for dof in dofs:
+            support[dof].add(row)
+    for e in mesh.interior_edges():
+        m, p = (int(mesh.active_rows(c)) for c in (e.minus_cell, e.plus_cell))
+        support[space.n_cg + m].add(p)
+        support[space.n_cg + p].add(m)
+    out = []
+    for rows in support:
+        lo = min(ranges[r][0] for r in rows)
+        hi = max(ranges[r][1] for r in rows)
+        size = 2 ** (lo ^ hi).bit_length()
+        out.append((lo - lo % size, lo - lo % size + size - 1))
+    return np.array(out).T
+
+
+class TestFactorOrder:
+    @pytest.mark.parametrize("k", [1, 2])
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(**HISTORIES)
+    def test_coupled_dofs_have_nested_subtrees(self, k, shape, ops, seed):
+        s = EGSpace(_random_history(shape, ops, seed), k)
+        S = euler_matrix(s)
+        solver = CondensedSolver(S, s)
+        p = solver.order
+        assert np.array_equal(np.sort(p), np.arange(s.n_dofs))
+        first, last = (a[p] for a in subtree_oracle(s))
+        # subtree postorder: by last index, the smaller subtree first on a tie
+        step, grow = np.diff(last), np.diff(last - first)
+        assert np.all((step > 0) | ((step == 0) & (grow >= 0)))
+        # two aligned subtrees nest exactly when their ranges intersect
+        entries = solver.matrix_c.tocoo()
+        i, j = entries.row, entries.col
+        assert np.all((first[i] <= last[j]) & (first[j] <= last[i]))
 
 
 class TestSolve:
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("theta", [-1, 0, 1])
+    def test_matches_oracle_condensed_solve(self, k, theta):
+        s = EGSpace(random_adaptive_mesh(seed=4), k)
+        assert s.constraints
+        S = euler_matrix(s, theta)
+        b = np.random.default_rng(k).standard_normal(s.n_dofs)
+        C, ref = oracle_condensed(s, S)
+        expect = C @ spsolve(ref, C.T @ b)
+        got = apply_constraints_and_solve(S, b, s).coeffs
+        assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+
+    def test_non_finite_load_raises(self):
+        s = EGSpace(build_initial(DomainShape.UNIT_SQUARE, 0.25), 1)
+        S = euler_matrix(s)
+        b = np.ones(s.n_dofs)
+        b[3] = np.nan
+        with pytest.raises(SolverError):
+            apply_constraints_and_solve(S, b, s)
+
     def test_identity_system_with_pin(self):
         m = build_initial(DomainShape.UNIT_SQUARE, 0.5)
         s = EGSpace(m, 1)

@@ -220,6 +220,28 @@ class TestCli:
         cut = (tmp_path / "cut" / "steps_c1.csv").read_text().splitlines()
         assert cut == full[:3]     # header plus the two completed steps
 
+    def test_non_finite_load_exits_3_with_partial_csv(
+            self, tmp_path, monkeypatch, capsys):
+        from egadapt import assembly
+        real_rhs = assembly.assemble_rhs
+        calls = {"n": 0}
+
+        def nan_rhs(*a, **kw):
+            b = real_rhs(*a, **kw)
+            calls["n"] += 1
+            if calls["n"] >= 3:
+                b[0] = np.nan
+            return b
+
+        monkeypatch.setattr(assembly, "assemble_rhs", nan_rhs)
+        rc = cli_main(["--problem", "smoke_linear", "--mode", "uniform",
+                       "--h0", "0.5", "--dt", "0.02", "--T", "0.1",
+                       "--output-dir", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().out.startswith("solver failure:")
+        lines = (tmp_path / "steps_c1.csv").read_text().splitlines()
+        assert len(lines) == 3     # header plus the two completed steps
+
     def test_dt_not_dividing_T_exits_2(self, tmp_path, capsys):
         rc = cli_main(["--problem", "smoke_linear", "--mode", "uniform",
                        "--h0", "0.5", "--dt", "0.03", "--T", "0.1",
