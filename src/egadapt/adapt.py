@@ -144,10 +144,10 @@ def _space_and_prev(mesh, field, k):
 
 
 def _factor(sp, problem, penalty, dt, key):
-    """Assemble M/dt + A_theta on a space and factor it."""
-    A = assembly.assemble_A_theta(sp, problem.K, penalty)
-    M = assembly.assemble_mass(sp)
-    return assembly.CondensedSolver((M / dt + A).tocsr(), sp, key=key)
+    """Factor M / dt + A_theta on a space, assembled in one triplet pass
+    (cell mass and stiffness blocks plus the edge blocks)."""
+    return assembly.CondensedSolver(
+        assembly.assemble_A_theta(sp, problem.K, penalty, dt=dt), sp, key=key)
 
 
 def adapt_step(state, problem, params, penalty, k, n, t_n, dt, tracker,

@@ -6,12 +6,17 @@ Dirichlet data enters weakly through the right-hand side.  Every local
 matrix is computed on the reference cell/edge: for axis-aligned square
 cells the edge length cancels against the gradient scaling, so with a
 constant-identity diffusion tensor each group of congruent edges shares a
-single local matrix.  Edges are grouped by (kind, minus side, plus-side
-sub-interval), cells are processed in one batch.
+single local matrix, built once per process.  Edges are grouped by (kind,
+minus side, plus-side sub-interval), cells are processed in one batch.
 
 Reference cell and edge tables are cached, read-only, per degree, side
 and sub-interval.  Each matrix is assembled in one pass: the nonzero local
 entries go into one triplet set sized up front, converted to CSR once.
+Given a time step, the cell blocks take the scaled mass, and M / dt +
+A_theta is one pass.  Edge blocks are emitted on the cells' joint dofs: a
+plus face node at a minus face node's point is that global dof.  There a
+conforming face's continuous part has no jump, nor with K = I an average
+flux, and those entries are exact zeros, never emitted.
 
 Systems are solved with the hanging constraints condensed, by a SuperLU
 factor whose column order is the quadtree's nested dissection
@@ -79,16 +84,24 @@ def _edge_tables(k, mside, psub):
 class _EdgeGroup:
     """Edges sharing minus side, plus sub-interval and classification, given
     by their ids ``sel``; ``rows`` holds each edge's cell rows, minus then
-    plus (if interior)."""
+    plus (if interior); ``type`` is (k, kind, minus side, plus sub).
+    ``keep`` picks the joint dofs from the cells' local dofs, each at its
+    first place (a plus face node at a minus face node's point is one dof),
+    and the 0/1 ``fold`` adds every local dof onto its joint one.  Read off
+    the first edge, both hold for every edge of the group."""
 
     def __init__(self, space, sel):
         rule = edge_rule(space.k)
         mesh, e = space.mesh, space.mesh.edge_arrays
         kind, mside, psub = (int(a[sel[0]]) for a in (e.kind, e.side, e.sub))
         self.kind = KINDS[kind]
+        self.type = (space.k, self.kind, mside, psub)
         self.w = rule.weights
         interior = self.kind is EdgeKind.INTERIOR
         self.rows = np.column_stack([e.minus[sel], e.plus[sel]][:1 + interior])
+        d = space.cell_dofs[self.rows[0]].ravel()
+        self.keep = np.sort(np.unique(d, return_index=True)[1])
+        self.fold = (d[:, None] == d[self.keep]).astype(float)
         self.minus_rows = self.rows[:, 0]
         self.plus_rows = self.rows[:, 1] if interior else None
         self.h = mesh.side[self.minus_rows]
@@ -157,6 +170,11 @@ def _stiffness_data(space, K):
     return np.einsum("q,cqab,qai,qbj->cij", t.w, Kv, t.G, t.G)
 
 
+def _mass_data(space):
+    t = space.tables
+    return t.sides[:, None, None] ** 2 * np.einsum("q,qi,qj->ij", t.w, t.N, t.N)
+
+
 def assemble_stiffness(space, K=None):
     """Cell diffusion block sum_T (K grad p, grad w)_T (no edge terms)."""
     return _to_csr(space.n_dofs, [space.cell_dofs], [_stiffness_data(space, K)])
@@ -164,42 +182,59 @@ def assemble_stiffness(space, K=None):
 
 def assemble_mass(space):
     """Gram matrix of the full EG basis, constants included."""
-    t = space.tables
-    ref = np.einsum("q,qi,qj->ij", t.w, t.N, t.N)
-    return _to_csr(space.n_dofs, [space.cell_dofs],
-                   [t.sides[:, None, None] ** 2 * ref])
+    return _to_csr(space.n_dofs, [space.cell_dofs], [_mass_data(space)])
 
 
-def _edge_data(group, K, penalty):
-    """Local matrices of an interior or Dirichlet edge group.
+def _edge_data(etype, fm, fp, kmax, penalty):
+    """Local matrices of an interior or Dirichlet edge type from its
+    conormals and K_max weights (``_EdgeGroup.conormal``).
 
     On Dirichlet edges jump and average collapse to the one-sided trace.
     Normal fluxes are taken on the reference edge, where the edge length
     cancels against the gradient scaling.
     """
-    w, th, al = group.w, penalty.theta, penalty.alpha
-    interior = group.kind is EdgeKind.INTERIOR
-    J = np.hstack([group.Vm, -group.Vp]) if interior else group.Vm
-    fm, fp, kmax = group.conormal(K)
-    avg = 0.5 * np.concatenate([fm, fp / group.fac], axis=2) if interior else fm
+    k, kind, mside, psub = etype
+    Vm, _, _, Vp, _, _ = _edge_tables(k, mside, psub)
+    w, th, al = edge_rule(k).weights, penalty.theta, penalty.alpha
+    interior = kind is EdgeKind.INTERIOR
+    J = np.hstack([Vm, -Vp]) if interior else Vm
+    fac = 1.0 if psub == SUB_FULL else 2.0
+    avg = 0.5 * np.concatenate([fm, fp / fac], axis=2) if interior else fm
     return (-np.einsum("q,qi,eqj->eij", w, J, avg)
             + th * np.einsum("q,eqi,qj->eij", w, avg, J)
             + al * kmax[:, None, None]
             * np.einsum("q,qi,qj->ij", w, J, J))
 
 
+@lru_cache(maxsize=64)
+def _constant_K_data(etype, penalty):
+    """Read-only (1, m, m) local matrix of an edge type with K = I."""
+    k, _, mside, psub = etype
+    _, _, Gnm, _, _, Gnp = _edge_tables(k, mside, psub)
+    out = _edge_data(etype, Gnm[None], Gnp[None], np.ones(1), penalty)
+    out.setflags(write=False)
+    return out
+
+
 def _edge_blocks(space, K, penalty):
-    """Dofs and a generator of local matrices of the non-Neumann groups."""
+    """Joint dofs and a generator of local matrices of the non-Neumann
+    groups, folded onto those dofs."""
     groups = [g for g in edge_groups(space) if g.kind is not EdgeKind.NEUMANN]
-    return ([space.cell_dofs[g.rows].reshape(len(g.h), -1) for g in groups],
-            (_edge_data(g, K, penalty) for g in groups))
+    return ([space.cell_dofs[g.rows].reshape(len(g.h), -1)[:, g.keep]
+             for g in groups],
+            (g.fold.T @ (_constant_K_data(g.type, penalty) if K is None else
+                         _edge_data(g.type, *g.conormal(K), penalty)) @ g.fold
+             for g in groups))
 
 
-def assemble_A_theta(space, K=None, penalty=PenaltySpec()):
-    """Full spatial bilinear form: diffusion plus interior-penalty terms."""
+def assemble_A_theta(space, K=None, penalty=PenaltySpec(), dt=None):
+    """Full spatial bilinear form: diffusion plus interior-penalty terms;
+    given ``dt``, the backward-Euler system M / dt + A_theta."""
     dofs, data = _edge_blocks(space, K, penalty)
+    cells = _stiffness_data(space, K)
+    cells = cells if dt is None else cells + _mass_data(space) / dt
     return _to_csr(space.n_dofs, [space.cell_dofs] + dofs,
-                   itertools.chain([_stiffness_data(space, K)], data))
+                   itertools.chain([cells], data))
 
 
 # ----------------------------------------------------------------------

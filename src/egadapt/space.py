@@ -174,14 +174,18 @@ class EGSpace:
         """Sparse N x N map from unconstrained to full coefficient vectors.
 
         Rows of unconstrained dofs carry an identity entry; the row of each
-        hanging (slave) dof carries its master weights.
+        hanging (slave) dof carries its master weights.  Every caller shares
+        it, so its arrays are read-only.
         """
         n = self.n_dofs
         ids = np.setdiff1d(np.arange(n), self.slaves, assume_unique=True)
         rows = np.concatenate([ids, np.repeat(self.slaves, self.k + 1)])
         cols = np.concatenate([ids, self._masters.ravel()])
         vals = np.concatenate([np.ones(len(ids)), self._weights.ravel()])
-        return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        C = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        for a in (C.data, C.indices, C.indptr):
+            a.setflags(write=False)
+        return C
 
     def factor_order(self):
         """Fill-reducing elimination order of the dofs: nested dissection

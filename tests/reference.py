@@ -179,7 +179,7 @@ def edge_matrix(space, edge, K=None, penalty=PenaltySpec()):
     dofs = space.cell_dofs[group.rows[0]].ravel()
     if edge.kind is EdgeKind.NEUMANN:
         return dofs, np.zeros((len(dofs), len(dofs)))
-    return dofs, _edge_data(group, K, penalty)[0]
+    return dofs, _edge_data(group.type, *group.conormal(K), penalty)[0]
 
 
 # ----------------------------------------------------------------------

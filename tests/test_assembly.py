@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
@@ -12,7 +13,9 @@ from egadapt import (CondensedSolver, DiscreteField, DomainShape, EdgeKind,
                      assemble_mass, assemble_rhs, assemble_stiffness,
                      broken_h1_error, build_initial, example1,
                      galerkin_residual, interpolate, smoke_linear, transfer)
-from egadapt.assembly import edge_groups
+from egadapt.assembly import _constant_K_data, edge_groups
+from egadapt.mesh import SUB_FULL
+from egadapt.space import _hanging_table
 
 from conftest import random_adaptive_mesh
 from reference import edge_matrix
@@ -201,16 +204,94 @@ class TestGlobalAssembly:
     def test_reference_tables_shared_and_read_only(self):
         m = random_adaptive_mesh(seed=3)
         other = build_initial(DomainShape.L_SHAPE, 0.5)
+        pen = PenaltySpec(1.5, -1)
         for k in (1, 2):
             a, b, c = EGSpace(m, k), EGSpace(other, k), EGSpace(m, k)
             cell = [(getattr(a.tables, n), getattr(b.tables, n)) for n in "NGH"]
             edge = [(getattr(g, n), getattr(h, n))
                     for g, h in zip(edge_groups(a), edge_groups(c))
                     for n in ("Vm", "Gm", "Gnm", "Vp", "Gp", "Gnp")]
-            for x, y in cell + edge:
+            # the constant-K edge matrices, matched by edge type across the
+            # two meshes
+            shared = {}
+            for sp in (a, b):
+                for g in edge_groups(sp):
+                    if g.kind is not EdgeKind.NEUMANN:
+                        shared.setdefault(g.type, []).append(
+                            _constant_K_data(g.type, pen))
+            pairs = [got for got in shared.values() if len(got) == 2]
+            assert len(pairs) >= 4
+            for x, y in cell + edge + pairs:
                 assert x is y
                 with pytest.raises(ValueError):
                     x[(0,) * x.ndim] = 1.0
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("mesh", sorted(ORACLE_MESHES))
+    def test_fused_system_matches_mass_plus_form(self, mesh, k):
+        s = EGSpace(ORACLE_MESHES[mesh](), k)
+        dt = 0.01
+        M = assemble_mass(s)
+        for K in (None, varying_K):
+            for theta in (-1, 0, 1):
+                pen = PenaltySpec(1.5, theta)
+                S = assemble_A_theta(s, K, pen, dt=dt)
+                assert S.format == "csr" and S.shape == (s.n_dofs, s.n_dofs)
+                ref = (M / dt + assemble_A_theta(s, K, pen)).toarray()
+                err = np.max(np.abs(S.toarray() - ref)) / np.max(np.abs(ref))
+                assert err <= 1e-13, f"K={K}, theta={theta}: {err:.2e}"
+
+
+class TestJointDofs:
+    """The interface blocks are emitted on the joint dofs of both cells:
+    a plus face node is folded onto the minus face node at the same point.
+    That is exact only where the two are one global dof."""
+
+    @settings(max_examples=16, deadline=None, derandomize=True)
+    @given(k=st.sampled_from([1, 2]), **HISTORIES)
+    def test_conforming_faces_share_their_nodes(self, k, shape, ops, seed):
+        s = EGSpace(_random_history(shape, ops, seed), k)
+        e = s.mesh.edge_arrays
+        face = _hanging_table(k)[0]
+        inner = np.flatnonzero(e.plus >= 0)
+        side = e.side[inner]
+        same = np.all(s.cell_dofs[e.minus[inner, None], face[side]]
+                      == s.cell_dofs[e.plus[inner, None], face[side ^ 1]],
+                      axis=1)
+        assert np.array_equal(same, e.sub[inner] == SUB_FULL)
+
+    @settings(max_examples=16, deadline=None, derandomize=True)
+    @given(k=st.sampled_from([1, 2]), **HISTORIES)
+    def test_fold_joins_equal_dofs_only(self, k, shape, ops, seed):
+        # the fold is read off a group's first edge; it must hold on all
+        s = EGSpace(_random_history(shape, ops, seed), k)
+        nloc = s.cell_dofs.shape[1]
+        for g in edge_groups(s):
+            d = s.cell_dofs[g.rows].reshape(len(g.h), -1)
+            assert np.array_equal(g.keep[:nloc], np.arange(nloc))
+            assert np.array_equal(g.fold.sum(axis=1), np.ones(d.shape[1]))
+            for col, joint in zip(g.fold.T, g.keep):
+                twins = np.flatnonzero(col)
+                assert twins[0] == joint
+                assert np.all(d[:, twins] == d[:, [joint]])
+            # k + 1 shared face nodes on a conforming face, k on a hanging
+            # one, none on the boundary
+            shared = 0
+            if g.kind is EdgeKind.INTERIOR:
+                shared = k + (g.type[3] == SUB_FULL)
+            assert len(g.keep) == d.shape[1] - shared
+
+    @pytest.mark.parametrize("k, entries", [(1, 12), (2, 28)])
+    def test_conforming_blocks_cancel_exactly(self, k, entries):
+        # with K = I and theta = 0 only the rows of the two constants are
+        # left: on the face the continuous part has no jump, and its average
+        # flux cancels to an exact zero
+        s = EGSpace(build_initial(DomainShape.UNIT_SQUARE, 0.25), k)
+        pen = PenaltySpec(1.0, 0)
+        for g in edge_groups(s):
+            if g.kind is EdgeKind.INTERIOR:
+                L = g.fold.T @ _constant_K_data(g.type, pen) @ g.fold
+                assert np.count_nonzero(L) == entries
 
 
 class TestRhs:
@@ -309,6 +390,11 @@ class TestConstraintMatrix:
         s = EGSpace(random_adaptive_mesh(seed=4), 1)
         S = euler_matrix(s)
         C = s.constraint_matrix
+        # the map is shared by every caller: an in-place change raises
+        with pytest.raises(ValueError):
+            C.indptr[0] = 1
+        with pytest.raises(ValueError):
+            C.eliminate_zeros()
         before = [a.copy() for a in (C.data, C.indices, C.indptr)]
         first = CondensedSolver(S, s).lu.nnz
         for a, b in zip(before, (C.data, C.indices, C.indptr)):
