@@ -150,6 +150,18 @@ def _factor(sp, problem, penalty, dt, key):
         assembly.assemble_A_theta(sp, problem.K, penalty, dt=dt), sp, key=key)
 
 
+def _solve(sp, solver, prev_vals, problem, penalty, t_n, dt):
+    """Solution and indicators on a factored space.  The problem data at
+    ``t_n`` is evaluated once for the load and the indicators, and is
+    freed on return, before any later factorization."""
+    data = assembly._problem_data(sp, problem, t_n)
+    b = assembly.assemble_rhs(sp, problem, t_n, penalty, prev=prev_vals,
+                              dt=dt, data=data)
+    field = space_mod.DiscreteField(sp, solver.solve(b))
+    return field, estimator.compute_indicators(
+        sp, field, prev_vals, problem, t_n, dt, penalty.alpha, data=data)
+
+
 def adapt_step(state, problem, params, penalty, k, n, t_n, dt, tracker,
                pure_refine=False):
     """Advance one time step with mesh adaptation.
@@ -175,11 +187,7 @@ def adapt_step(state, problem, params, penalty, k, n, t_n, dt, tracker,
         if solver is None or solver.space is not sp or solver.key != key:
             solver = None      # free the old factor before building the next
             solver = _factor(sp, problem, penalty, dt, key)
-        b = assembly.assemble_rhs(sp, problem, t_n, penalty, prev=prev_vals,
-                                  dt=dt)
-        field = space_mod.DiscreteField(sp, solver.solve(b))
-        ind = estimator.compute_indicators(sp, field, prev_vals, problem, t_n,
-                                           dt, penalty.alpha)
+        field, ind = _solve(sp, solver, prev_vals, problem, penalty, t_n, dt)
         if pure_refine:
             if iters >= 1:
                 break

@@ -240,41 +240,70 @@ def assemble_A_theta(space, K=None, penalty=PenaltySpec(), dt=None):
 # ----------------------------------------------------------------------
 # right-hand side
 
-def assemble_rhs(space, problem, t_n, penalty=PenaltySpec(), prev=None, dt=None):
+def _problem_data(space, problem, t_n):
+    """The data of one time level at the space's points: f at the cell
+    points, and per edge group g_N or g_D at the edge points (None on
+    interior groups).  :func:`assemble_rhs` and
+    :func:`~egadapt.estimator.compute_indicators` both use it."""
+    tb = space.tables
+    edge_data = {EdgeKind.NEUMANN: problem.g_N, EdgeKind.DIRICHLET: problem.g_D}
+    return (at_points(problem.f, tb.x, tb.y, t_n),
+            [None if g.kind is EdgeKind.INTERIOR else
+             at_points(edge_data[g.kind], g.P[..., 0], g.P[..., 1], t_n)
+             for g in edge_groups(space)])
+
+
+def _scatter(n, parts):
+    """Length-n sums of the (indices, values) ``parts``, added one value
+    at a time in the order given, as successive ``np.add.at`` calls do."""
+    if not parts:
+        return np.zeros(n)
+    index, values = zip(*parts)
+    return np.bincount(np.concatenate([a.ravel() for a in index]),
+                       np.concatenate([a.ravel() for a in values]),
+                       minlength=n)
+
+
+def assemble_rhs(space, problem, t_n, penalty=PenaltySpec(), prev=None, dt=None,
+                 data=None):
     """Load vector: source, boundary data and optional previous-step mass term.
 
     ``prev`` is a (ncells, nq) array of previous-solution values at the
     cell quadrature points; with ``prev`` given, ``dt`` must be the time
-    step.
+    step.  ``data`` is the problem data at ``t_n`` from
+    :func:`_problem_data`, evaluated here if not given.
     """
     tb = space.tables
-    b = np.zeros(space.n_dofs)
-    F = at_points(problem.f, tb.x, tb.y, t_n)
+    F, edge_data = _problem_data(space, problem, t_n) if data is None else data
     if prev is not None:
         if dt is None:
             raise ValueError("dt is required when a previous state is supplied")
-        F = F + np.asarray(prev) / dt
-    bloc = np.einsum("q,cq,qi->ci", tb.w, F, tb.N) * tb.sides[:, None] ** 2
-    np.add.at(b, space.cell_dofs, bloc)
+        prev = np.asarray(prev) / dt
+        F = np.add(prev, F, out=prev)
+    # sum_q w_q F_cq N_qi with the points as the leading axis: einsum adds
+    # the products in point order, as a sequential sum does, in vector
+    # loops over the cells.  A matmul would sum in another order and move
+    # the rounding of the load, and so of the solution.
+    load = np.multiply(F.T, tb.w[:, None], order="C")
+    cells = np.einsum("qc,qi->ic", load, tb.N).T * tb.sides[:, None] ** 2
+    parts = [(space.cell_dofs, cells)]
 
     th, al = penalty.theta, penalty.alpha
-    for g in edge_groups(space):
+    for g, gv in zip(edge_groups(space), edge_data):
         if g.kind is EdgeKind.INTERIOR:
             continue
         if g.kind is EdgeKind.NEUMANN:
-            gn = at_points(problem.g_N, g.P[..., 0], g.P[..., 1], t_n)
-            bloc = np.einsum("e,q,eq,qi->ei", g.h, g.w, gn, g.Vm)
+            bloc = np.einsum("e,q,eq,qi->ei", g.h, g.w, gv, g.Vm)
         else:
-            gd = at_points(problem.g_D, g.P[..., 0], g.P[..., 1], t_n)
             fm, _, kmax = g.conormal(problem.K)
             if problem.K is None:
-                flux = np.einsum("q,eq,qi->ei", g.w, gd, g.Gnm)
+                flux = np.einsum("q,eq,qi->ei", g.w, gv, g.Gnm)
             else:
-                flux = np.einsum("q,eq,eqi->ei", g.w, gd, fm)
-            pen = np.einsum("e,q,eq,qi->ei", al * kmax, g.w, gd, g.Vm)
+                flux = np.einsum("q,eq,eqi->ei", g.w, gv, fm)
+            pen = np.einsum("e,q,eq,qi->ei", al * kmax, g.w, gv, g.Vm)
             bloc = th * flux + pen
-        np.add.at(b, space.cell_dofs[g.minus_rows], bloc)
-    return b
+        parts.append((space.cell_dofs[g.minus_rows], bloc))
+    return _scatter(space.n_dofs, parts)
 
 
 # ----------------------------------------------------------------------

@@ -56,6 +56,9 @@ class RunConfig:
             raise ConfigError("dt must be positive")
         if self.cycles < 1:
             raise ConfigError("cycles must be at least 1")
+        if not all(map(math.isfinite, self.snapshot_times)):
+            raise ConfigError(f"snapshot times must be finite, got "
+                              f"{self.snapshot_times}")
         # the last cycle runs on the finest root grid, h0 / 2**(cycles - 1)
         _root_grid_size(math.ldexp(self.h0, 1 - self.cycles),
                         problems.by_name(self.problem).shape)
@@ -94,6 +97,8 @@ _MAX_STEPS = 10 ** 6
 
 
 def _step_count(T, dt):
+    if not T > 0:
+        raise ConfigError(f"the final time T must be positive, got {T}")
     if not T / dt <= _MAX_STEPS:
         raise ConfigError(f"the final time T={T} and dt={dt} give no step "
                           f"count of at most {_MAX_STEPS}")
@@ -147,8 +152,10 @@ def _snapshot(config, cycle, mesh, fld, t):
         return
     tag = f"c{cycle}_t{t:g}"
     writers.mesh_svg(mesh, os.path.join(config.output_dir, f"mesh_{tag}.svg"))
-    writers.mesh_vtk(mesh, os.path.join(config.output_dir, f"mesh_{tag}.vtk"))
-    writers.field_vtk(fld, os.path.join(config.output_dir, f"field_{tag}.vtk"))
+    grid = writers.mesh_vtk(mesh,
+                            os.path.join(config.output_dir, f"mesh_{tag}.vtk"))
+    writers.field_vtk(fld, os.path.join(config.output_dir, f"field_{tag}.vtk"),
+                      grid=grid)
 
 
 def run_timeloop(config, problem=None, cycle=1):

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import edge_groups
+from .assembly import _problem_data, _scatter, edge_groups
 from .mesh import EdgeKind, SQRT2
-from .problems import at_points
 # unused here, but perfbench/tracing.py wraps this name and fails without it
 from .quadrature import edge_rule  # noqa: F401
 
@@ -122,54 +121,58 @@ def _normal_flux(table, C):
     return np.einsum("eqi,ei->eq", table, C)
 
 
-def compute_indicators(space, field, prev_vals, problem, t_n, dt, alpha):
+def compute_indicators(space, field, prev_vals, problem, t_n, dt, alpha,
+                       data=None):
     """All indicator components on one mesh in a single vectorized pass.
 
     ``prev_vals`` holds previous-solution values at the cell quadrature
     points, shape (ncells, nq), as produced by a transfer evaluator.
+    ``data`` is the problem data at ``t_n`` as
+    :func:`egadapt.assembly.assemble_rhs` takes it, evaluated here if not
+    given.
     """
     tb = space.tables
     ncells = len(tb.sides)
+    F, edge_data = _problem_data(space, problem, t_n) if data is None else data
 
-    vals = field.cell_values(0)
-    resid = at_points(problem.f, tb.x, tb.y, t_n) - (vals - prev_vals) / dt
+    # f - (p_h - p_prev) / dt + div(K grad p_h), in place on one array
+    resid = field.cell_values(0) - prev_vals
+    resid /= -dt
+    resid += F
     if problem.K is not None:
-        resid = resid + _div_k_grad(field, problem.K, problem.K_grad)
+        resid += _div_k_grad(field, problem.K, problem.K_grad)
     elif space.k == 2:
         hess = field.cell_values(2)
-        resid = resid + hess[..., 0, 0] + hess[..., 1, 1]
-    norm_sq = tb.sides ** 2 * np.einsum("q,cq->c", tb.w, resid ** 2)
+        resid += hess[..., 0, 0]
+        resid += hess[..., 1, 1]
+    resid *= resid
+    norm_sq = tb.sides ** 2 * np.einsum("q,cq->c", tb.w, resid)
     eta1 = (SQRT2 * tb.sides) ** 2 * np.sqrt(norm_sq)
 
-    eta2_sq = np.zeros(ncells)
-    eta3_sq = np.zeros(ncells)
-    eta4_sq = np.zeros(ncells)
-    eta5_sq = np.zeros(ncells)
-    coeffs = field.coeffs
-    for g in edge_groups(space):
+    # (cell rows, values) added into eta2_sq, eta3_sq, eta4_sq, eta5_sq
+    parts = ([], [], [], [])
+    loc = field.coeffs[space.cell_dofs]
+    for g, gv in zip(edge_groups(space), edge_data):
         fm, fp, kmax = g.conormal(problem.K)
-        Cm = coeffs[space.cell_dofs[g.minus_rows]]
+        Cm = loc[g.minus_rows]
         flux_m = _normal_flux(fm, Cm) / g.h[:, None]
         if g.kind is EdgeKind.INTERIOR:
-            Cp = coeffs[space.cell_dofs[g.plus_rows]]
+            Cp = loc[g.plus_rows]
             flux_p = _normal_flux(fp, Cp) / (g.fac * g.h[:, None])
             fj = flux_m - flux_p
             vj = Cm @ g.Vm.T - Cp @ g.Vp.T
             e2sq = g.h ** 4 * (fj ** 2 @ g.w)
             e4sq = kmax ** 2 * g.h ** 2 * (vj ** 2 @ g.w)
-            np.add.at(eta2_sq, g.minus_rows, e2sq)
-            np.add.at(eta2_sq, g.plus_rows, e2sq)
-            np.add.at(eta4_sq, g.minus_rows, e4sq)
-            np.add.at(eta4_sq, g.plus_rows, e4sq)
+            parts[0].extend([(g.minus_rows, e2sq), (g.plus_rows, e2sq)])
+            parts[2].extend([(g.minus_rows, e4sq), (g.plus_rows, e4sq)])
         elif g.kind is EdgeKind.NEUMANN:
-            gn = at_points(problem.g_N, g.P[..., 0], g.P[..., 1], t_n)
-            e3sq = g.h ** 4 * ((gn + flux_m) ** 2 @ g.w)
-            np.add.at(eta3_sq, g.minus_rows, e3sq)
+            e3sq = g.h ** 4 * ((gv + flux_m) ** 2 @ g.w)
+            parts[1].append((g.minus_rows, e3sq))
         else:
-            gd = at_points(problem.g_D, g.P[..., 0], g.P[..., 1], t_n)
-            gap = gd - Cm @ g.Vm.T
+            gap = gv - Cm @ g.Vm.T
             e5sq = kmax ** 2 * g.h ** 2 * (gap ** 2 @ g.w)
-            np.add.at(eta5_sq, g.minus_rows, e5sq)
+            parts[3].append((g.minus_rows, e5sq))
+    eta2_sq, eta3_sq, eta4_sq, eta5_sq = (_scatter(ncells, p) for p in parts)
 
     eta_T = np.sqrt(eta1 ** 2 + 0.5 * (alpha * eta2_sq + eta4_sq)
                     + eta3_sq + alpha * eta5_sq)

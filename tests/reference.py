@@ -11,8 +11,10 @@ import math
 import numpy as np
 
 from egadapt import EdgeKind, edge_rule, map_to_edge
-from egadapt.assembly import PenaltySpec, _edge_data, _EdgeGroup
-from egadapt.mesh import SUB_FULL
+from egadapt.assembly import PenaltySpec, _edge_data, _EdgeGroup, edge_groups
+from egadapt.estimator import _div_k_grad, _normal_flux
+from egadapt.mesh import SQRT2, SUB_FULL
+from egadapt.problems import at_points
 from egadapt.space import face_points
 
 
@@ -183,6 +185,85 @@ def edge_matrix(space, edge, K=None, penalty=PenaltySpec()):
 
 
 # ----------------------------------------------------------------------
+# load vector and indicators, scattered by one np.add.at per block
+
+def assemble_rhs_add_at(space, problem, t_n, penalty=PenaltySpec(), prev=None,
+                        dt=None):
+    """Load vector by three-operand einsum contractions, each block added
+    into the vector by its own np.add.at."""
+    tb = space.tables
+    b = np.zeros(space.n_dofs)
+    F = at_points(problem.f, tb.x, tb.y, t_n)
+    if prev is not None:
+        F = F + np.asarray(prev) / dt
+    bloc = np.einsum("q,cq,qi->ci", tb.w, F, tb.N) * tb.sides[:, None] ** 2
+    np.add.at(b, space.cell_dofs, bloc)
+    th, al = penalty.theta, penalty.alpha
+    for g in edge_groups(space):
+        if g.kind is EdgeKind.INTERIOR:
+            continue
+        if g.kind is EdgeKind.NEUMANN:
+            gn = at_points(problem.g_N, g.P[..., 0], g.P[..., 1], t_n)
+            bloc = np.einsum("e,q,eq,qi->ei", g.h, g.w, gn, g.Vm)
+        else:
+            gd = at_points(problem.g_D, g.P[..., 0], g.P[..., 1], t_n)
+            fm, _, kmax = g.conormal(problem.K)
+            if problem.K is None:
+                flux = np.einsum("q,eq,qi->ei", g.w, gd, g.Gnm)
+            else:
+                flux = np.einsum("q,eq,eqi->ei", g.w, gd, fm)
+            pen = np.einsum("e,q,eq,qi->ei", al * kmax, g.w, gd, g.Vm)
+            bloc = th * flux + pen
+        np.add.at(b, space.cell_dofs[g.minus_rows], bloc)
+    return b
+
+
+def indicators_add_at(space, field, prev_vals, problem, t_n, dt):
+    """(eta1, eta2_sq, eta3_sq, eta4_sq, eta5_sq) with every edge group's
+    values added into the cell sums by np.add.at, one call per group and
+    side, in edge-group order."""
+    tb = space.tables
+    ncells = len(tb.sides)
+    vals = field.cell_values(0)
+    resid = at_points(problem.f, tb.x, tb.y, t_n) - (vals - prev_vals) / dt
+    if problem.K is not None:
+        resid = resid + _div_k_grad(field, problem.K, problem.K_grad)
+    elif space.k == 2:
+        hess = field.cell_values(2)
+        resid = resid + hess[..., 0, 0] + hess[..., 1, 1]
+    norm_sq = tb.sides ** 2 * np.einsum("q,cq->c", tb.w, resid ** 2)
+    eta1 = (SQRT2 * tb.sides) ** 2 * np.sqrt(norm_sq)
+
+    eta2_sq, eta3_sq, eta4_sq, eta5_sq = np.zeros((4, ncells))
+    coeffs = field.coeffs
+    for g in edge_groups(space):
+        fm, fp, kmax = g.conormal(problem.K)
+        Cm = coeffs[space.cell_dofs[g.minus_rows]]
+        flux_m = _normal_flux(fm, Cm) / g.h[:, None]
+        if g.kind is EdgeKind.INTERIOR:
+            Cp = coeffs[space.cell_dofs[g.plus_rows]]
+            flux_p = _normal_flux(fp, Cp) / (g.fac * g.h[:, None])
+            fj = flux_m - flux_p
+            vj = Cm @ g.Vm.T - Cp @ g.Vp.T
+            e2sq = g.h ** 4 * (fj ** 2 @ g.w)
+            e4sq = kmax ** 2 * g.h ** 2 * (vj ** 2 @ g.w)
+            np.add.at(eta2_sq, g.minus_rows, e2sq)
+            np.add.at(eta2_sq, g.plus_rows, e2sq)
+            np.add.at(eta4_sq, g.minus_rows, e4sq)
+            np.add.at(eta4_sq, g.plus_rows, e4sq)
+        elif g.kind is EdgeKind.NEUMANN:
+            gn = at_points(problem.g_N, g.P[..., 0], g.P[..., 1], t_n)
+            np.add.at(eta3_sq, g.minus_rows,
+                      g.h ** 4 * ((gn + flux_m) ** 2 @ g.w))
+        else:
+            gd = at_points(problem.g_D, g.P[..., 0], g.P[..., 1], t_n)
+            gap = gd - Cm @ g.Vm.T
+            np.add.at(eta5_sq, g.minus_rows,
+                      kmax ** 2 * g.h ** 2 * (gap ** 2 @ g.w))
+    return eta1, eta2_sq, eta3_sq, eta4_sq, eta5_sq
+
+
+# ----------------------------------------------------------------------
 # marking, one cell at a time
 
 def dorfler_mark_loop(indicators, eta_total, theta_refine):
@@ -215,7 +296,25 @@ def coarsen_mark_loop(indicators, theta_coarse, rule="threshold"):
 
 
 # ----------------------------------------------------------------------
-# legacy-VTK output, one write per line
+# SVG and legacy-VTK output, one formatted line at a time
+
+def mesh_svg(mesh, path, size=640):
+    """One rect per active cell, each formatted on its own."""
+    xmin, ymin, xmax, ymax = mesh.bbox
+    scale = size / max(xmax - xmin, ymax - ymin)
+    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+             f'height="{size}" viewBox="0 0 {size} {size}">']
+    for cell in mesh.active_cells():
+        x = (cell.x0 - xmin) * scale
+        y = (ymax - cell.y0 - cell.side) * scale
+        w = cell.side * scale
+        lines.append(f'<rect x="{x:.3f}" y="{y:.3f}" width="{w:.3f}" '
+                     f'height="{w:.3f}" fill="none" stroke="black" '
+                     f'stroke-width="0.5"/>')
+    lines.append("</svg>")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
 
 _CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))     # SW, SE, NE, NW
 

@@ -18,7 +18,7 @@ from egadapt.mesh import SUB_FULL
 from egadapt.space import _hanging_table
 
 from conftest import random_adaptive_mesh
-from reference import edge_matrix
+from reference import assemble_rhs_add_at, edge_matrix
 from test_mesh import HISTORIES, _random_history
 
 
@@ -339,6 +339,37 @@ class TestRhs:
             K = None
         b = assemble_rhs(s, P, 0.0, PenaltySpec(1.0, 0))
         assert b[s.n_cg] == pytest.approx(1.0, abs=1e-13)   # int over one edge
+
+
+class _MixedBoundaryProblem:
+    """Nonzero data on Dirichlet and Neumann faces, optionally varying K."""
+
+    f = staticmethod(lambda x, y, t: np.sin(3 * x) * np.cos(y) + t)
+    g_D = staticmethod(lambda x, y, t: np.cos(x * y) + t)
+    g_N = staticmethod(lambda x, y, t: x - 2 * y)
+
+    def __init__(self, K=None):
+        self.K = K
+
+
+class TestRhsScatter:
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("K", [None, varying_K], ids=["K=I", "varying-K"])
+    def test_matches_add_at_oracle(self, k, K):
+        part = {"left": "D", "right": "N", "top": "D", "bottom": "N"}
+        m = random_adaptive_mesh(DomainShape.UNIT_SQUARE, 0.25, rounds=3,
+                                 seed=3, partition=part)
+        s = EGSpace(m, k)
+        problem = _MixedBoundaryProblem(K)
+        kinds = {g.kind for g in edge_groups(s)}
+        assert EdgeKind.NEUMANN in kinds and len(s.slaves)
+        prev = np.random.default_rng(k).standard_normal(
+            (m.n_active, s.tables.rule.n))
+        pen = PenaltySpec(3.0, -1)
+        for args in ({}, {"prev": prev, "dt": 0.05}):
+            got = assemble_rhs(s, problem, 0.3, pen, **args)
+            want = assemble_rhs_add_at(s, problem, 0.3, pen, **args)
+            assert np.array_equal(got, want)
 
 
 def reference_constraint_matrix(space, pins=()):

@@ -8,7 +8,8 @@ from egadapt import (ConfigError, DiscreteField, DomainShape, EGSpace, RunConfig
                      parse_config_file, run_cycles, run_timeloop, writers)
 
 from conftest import random_adaptive_mesh
-from reference import field_vtk as field_vtk_lines, mesh_vtk as mesh_vtk_lines
+from reference import field_vtk as field_vtk_lines, mesh_svg as mesh_svg_rects
+from reference import mesh_vtk as mesh_vtk_lines
 
 
 class TestOrderDofs:
@@ -142,12 +143,20 @@ class TestCli:
         ("--theta-refine", "1.5"), ("--alpha", "-1"), ("--tau", "0"),
         ("--max-iters", "0"), ("--theta-coarse", "1.0"), ("--alpha", "nan"),
         ("--alpha", "inf"), ("--tau", "nan"), ("--dt", "nan"), ("--T", "nan"),
-        ("--dt", "1e-12"), ("--h0", "1.52587890625e-05")])
+        ("--dt", "1e-12"), ("--h0", "1.52587890625e-05"),
+        ("--snapshot-times", "nan"), ("--snapshot-times", "0.1,inf"),
+        ("--T", "-1"), ("--T", "0")])
     def test_bad_adaptive_parameter_exits_2(self, flag, value, capsys):
         rc = cli_main(["--problem", "example1", "--mode", "adaptive_full",
                        "--h0", "0.25", "--T", "0.01", flag, value])
         assert rc == 2
         assert "configuration error:" in capsys.readouterr().out
+
+    def test_non_positive_final_time_named(self, capsys):
+        assert cli_main(["--problem", "example1", "--mode", "uniform",
+                         "--h0", "0.25", "--T", "-1"]) == 2
+        out = capsys.readouterr().out
+        assert "T must be positive" in out and "divide" not in out
 
     def test_bad_config_file_line_reported(self, tmp_path, capsys):
         cfgfile = tmp_path / "bad.cfg"
@@ -299,6 +308,22 @@ class TestWriters:
             write(obj, str(got))
             oracle(obj, str(want))
             assert got.read_bytes() == want.read_bytes()
+
+    def test_svg_bytes_match_per_rect_oracle(self, tmp_path):
+        m = random_adaptive_mesh(rounds=3, seed=8)
+        got, want = tmp_path / "mesh.svg", tmp_path / "mesh_ref.svg"
+        writers.mesh_svg(m, str(got))
+        mesh_svg_rects(m, str(want))
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_field_vtk_with_the_mesh_grid_is_unchanged(self, tmp_path):
+        m = random_adaptive_mesh(rounds=2, seed=3)
+        f = interpolate(EGSpace(m, 2), lambda x, y: x * y - y)
+        grid = writers.mesh_vtk(m, str(tmp_path / "mesh.vtk"))
+        writers.field_vtk(f, str(tmp_path / "shared.vtk"), grid=grid)
+        writers.field_vtk(f, str(tmp_path / "own.vtk"))
+        assert ((tmp_path / "shared.vtk").read_bytes()
+                == (tmp_path / "own.vtk").read_bytes())
 
     def test_matrix_market_dump(self, tmp_path):
         from egadapt import assemble_mass

@@ -8,7 +8,8 @@ from egadapt import (DiscreteField, DomainShape, EGSpace, build_initial,
 from egadapt.problems import example1, smoke_linear
 
 from conftest import random_adaptive_mesh
-from reference import cell_residual_eta1, edge_indicators, local_eta_T, total_eta
+from reference import (cell_residual_eta1, edge_indicators, indicators_add_at,
+                       local_eta_T, total_eta)
 
 
 def zero(x, y, t=0.0):
@@ -261,6 +262,32 @@ class TestBatchedAgainstReference:
         assert np.allclose(e5, ind.eta5_sq, rtol=1e-10, atol=1e-14)
         eta_T = np.sqrt(e1 ** 2 + 0.5 * (e2 + e4) + e5)
         assert np.allclose(eta_T, ind.eta_T, rtol=1e-10)
+
+
+class _NeumannVaryingK(_VaryingKProblem):
+    g_N = staticmethod(lambda x, y, t: x * y + t)
+    partition = {"left": "D", "right": "N", "top": "D", "bottom": "N"}
+
+
+class TestScatterOracle:
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("problem", [example1(), _NeumannVaryingK()],
+                             ids=["identity-K", "varying-K-neumann"])
+    def test_components_equal_add_at_oracle(self, k, problem):
+        shape = getattr(problem, "shape", DomainShape.UNIT_SQUARE)
+        part = problem.partition
+        mesh = random_adaptive_mesh(shape, 0.25, rounds=3, seed=2,
+                                    partition=part)
+        s = EGSpace(mesh, k)
+        rng = np.random.default_rng(k)
+        fld = DiscreteField(s, rng.standard_normal(s.n_dofs))
+        prev = rng.standard_normal((mesh.n_active, s.tables.rule.n))
+        ind = compute_indicators(s, fld, prev, problem, 0.3, 0.01, 2.0)
+        want = indicators_add_at(s, fld, prev, problem, 0.3, 0.01)
+        got = (ind.eta1, ind.eta2_sq, ind.eta3_sq, ind.eta4_sq, ind.eta5_sq)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert np.any(ind.eta3_sq) == ("N" in part.values())
 
 
 class TestScalingLaws:

@@ -255,6 +255,6 @@ class TestCellPointCache:
                                          h0=0.25, dt=0.01, T_final=0.05))
         assert len(reports) == steps
         grid = 48 * 16       # L-shape cells at h0 = 1/4, 4 x 4 Gauss points
-        # f in the load vector and the indicators, exact p and grad
-        assert sum(np.size(x) == grid for x in calls) == 4 * steps
+        # f once for the load vector and the indicators, exact p and grad
+        assert sum(np.size(x) == grid for x in calls) == 3 * steps
         assert sum(np.size(x) == grid for x in evaluations) == 1

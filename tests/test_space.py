@@ -299,6 +299,24 @@ class TestBatchedTransfer:
             transfer(f, other).cell_values()
 
 
+class TestBatchedEvaluate:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_cell_values_match_per_cell_evaluate(self, k):
+        m = random_adaptive_mesh(rounds=3, seed=5)
+        s = EGSpace(m, k)
+        assert len(s.slaves)                       # hanging nodes present
+        rng = np.random.default_rng(k)
+        f = DiscreteField(s, s.constraint_matrix @ rng.standard_normal(s.n_dofs))
+        pts = s.tables.rule.points
+        want = [np.array(a) for a in zip(*(f.evaluate(cid, pts)
+                                           for cid in m.active_ids))]
+        for deriv in (0, 1, 2):
+            got = f.cell_values(deriv)
+            assert got.shape == want[deriv].shape
+            scale = np.max(np.abs(want[deriv]))
+            assert np.max(np.abs(got - want[deriv])) <= 1e-13 * scale
+
+
 class TestBrokenH1:
     def test_exact_reproduction(self):
         m = build_initial(DomainShape.UNIT_SQUARE, 0.25)
