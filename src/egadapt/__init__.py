@@ -7,9 +7,9 @@ penalty coupling, SIPG/IIPG/NIPG), in time by backward Euler.  Residual
 error indicators drive per-step coarsening and bulk refinement.
 """
 
-from .mesh import (Cell, ConfigError, DomainShape, Edge, EdgeKind, Mesh,
-                   MeshError, Point2, all_dirichlet, build_initial)
-from .quadrature import QuadratureRule, cell_rule, edge_rule, gauss_1d, map_to_edge
+from .mesh import (ConfigError, DomainShape, EdgeKind, Mesh, MeshError,
+                   all_dirichlet, build_initial)
+from .quadrature import QuadratureRule, cell_rule, edge_rule, gauss_1d
 from .space import (DiscreteField, EGSpace, TransferredField, broken_h1_error,
                     interpolate, transfer)
 from .assembly import (CondensedSolver, PenaltySpec, SolverError,
@@ -18,7 +18,7 @@ from .assembly import (CondensedSolver, PenaltySpec, SolverError,
                        galerkin_residual)
 from .estimator import CellIndicators, StepReport, compute_indicators, effectivity
 from .adapt import AdaptParams, AdaptState, RunTracker, adapt_step, coarsen_mark, dorfler_mark
-from .problems import ProblemSpec, by_name, clockwise_angle, example1, example2, smoke_linear
+from .problems import ProblemSpec, by_name, example1, example2, smoke_linear
 from .driver import (CycleSummary, RunConfig, cli_main, order_dofs,
                      parse_config_file, run_cycles, run_timeloop,
                      write_cycle_csv)

@@ -15,16 +15,15 @@ history.  A mesh is immutable, and its state is the sorted int64 array of
 its active cell ids, besides the domain, ``h0``, the boundary partition and
 the root grid.  Levels, grid positions, coordinates, neighbors and edges
 are derived from the ids by integer arithmetic; coordinates are exact
-dyadic numbers.  ``Cell`` and ``Edge`` are views built on request.
+dyadic numbers.  The mesh offers no per-cell or per-edge objects: every
+quantity is an array over the active cells or over ``edge_arrays``.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -79,11 +78,6 @@ KINDS = tuple(sorted(EdgeKind, key=lambda kind: kind.value))
 _INTERIOR = KINDS.index(EdgeKind.INTERIOR)
 
 
-class Point2(NamedTuple):
-    x: float
-    y: float
-
-
 #: boundary faces of each domain, by name
 BOUNDARY_FACES = {
     DomainShape.UNIT_SQUARE: ("left", "right", "bottom", "top"),
@@ -110,64 +104,13 @@ def first_encounter(keys):
     return rank[inv].reshape(np.shape(keys)), first[order]
 
 
-@dataclass(frozen=True)
-class Cell:
-    """View of one square cell of the quadtree.  Active iff ``children is None``."""
-
-    id: int
-    level: int
-    i: int          # integer x-index within the level-``level`` grid
-    j: int          # integer y-index
-    x0: float
-    y0: float
-    side: float
-    parent: int | None = None
-    children: tuple[int, int, int, int] | None = None
-
-    @property
-    def diameter(self):
-        return self.side * SQRT2
-
-    @property
-    def center(self):
-        return Point2(self.x0 + 0.5 * self.side, self.y0 + 0.5 * self.side)
-
-
-@dataclass(frozen=True)
-class Edge:
-    """View of a face of the active tiling (or half of a coarse face).
-
-    ``minus_cell`` always owns the full extent of the edge; ``plus_cell``
-    is absent on the boundary.  The unit normal points from minus to plus
-    (outward on the boundary).  The edge is parameterized by t in [0, 1]
-    running in the direction of increasing coordinate.
-    """
-
-    id: int
-    endpoints: tuple[Point2, Point2]
-    length: float
-    kind: EdgeKind
-    minus_cell: int
-    plus_cell: int | None
-    normal: tuple[float, float]
-    hanging: bool
-    minus_side: int     # WEST/EAST/SOUTH/NORTH, side of the minus cell
-    plus_sub: int       # SUB_FULL or which half of the plus cell's face
-
-    @property
-    def start(self):
-        return self.endpoints[0]
-
-    @property
-    def direction(self):
-        """Unit vector along the edge parameterization."""
-        return (0.0, 1.0) if self.minus_side in (WEST, EAST) else (1.0, 0.0)
-
-
 class EdgeArrays(NamedTuple):
     """All edges as parallel arrays in edge-id order: ascending minus cell,
     then sides W, E, S, N.  ``minus``/``plus`` are rows of the active cells
-    (``plus`` is -1 on the boundary); ``kind`` indexes :data:`KINDS`."""
+    (``plus`` is -1 on the boundary); ``kind`` indexes :data:`KINDS`.  An
+    edge is the whole ``side`` of its minus cell and the ``sub`` part of
+    the plus cell's opposite face; its unit normal ``NORMALS[side]`` points
+    from minus to plus (outward on the boundary)."""
 
     minus: np.ndarray
     plus: np.ndarray
@@ -258,6 +201,9 @@ class Mesh:
 
     def is_active(self, cid):
         return bool(self.active_rows(cid) >= 0)
+
+    def area(self):
+        return float(np.sum(self.side ** 2))
 
     def parent_ids(self, ids):
         """Parent ids of cell ids (-1 for roots) and the child position
@@ -361,13 +307,8 @@ class Mesh:
         face = 2 * side + np.where(side & 1, across + 1 == n, across == 0)
         kind = np.full(len(side), _INTERIOR)
         for f in np.unique(face[~inside]):
-            name = _FACES[f]
-            if name not in self.partition:
-                raise MeshError(
-                    f"boundary edge on face '{name}' has no entry in the "
-                    f"boundary partition {sorted(self.partition)}")
             kind[~inside & (face == f)] = KINDS.index(
-                EdgeKind.DIRICHLET if self.partition[name] == "D"
+                EdgeKind.DIRICHLET if self.partition[_FACES[f]] == "D"
                 else EdgeKind.NEUMANN)
         # a half-edge covers the low or high half of the coarse face
         sub = np.where(hanging, SUB_LOW + (along & 1), SUB_FULL)
@@ -450,104 +391,16 @@ class Mesh:
             return self
         return self._rebuild(act)
 
-    # ------------------------------------------------------------------
-
-    def classify_edges(self, partition):
-        """Return the same mesh with boundary edges classified by ``partition``."""
-        missing = [f for f in BOUNDARY_FACES[self.shape] if f not in partition]
-        if missing:
-            raise MeshError(f"boundary partition missing faces {missing}")
-        bad = {f: v for f, v in partition.items() if v not in ("D", "N")}
-        if bad:
-            raise MeshError(f"boundary partition values must be 'D' or 'N': {bad}")
-        return Mesh(self.shape, self.h0, partition, self._roots, self.active_ids)
-
     def _rebuild(self, ids):
         return Mesh(self.shape, self.h0, self.partition, self._roots, ids)
-
-    # ------------------------------------------------------------------
-    # views for tests and demos
-
-    def cell(self, cid):
-        """View of the cell ``cid``, active or an ancestor of active cells."""
-        level, i, j = (int(a[0]) for a in self._positions([cid]))
-        side = math.ldexp(self.h0, -level)
-        parent = int(self.parent_ids(cid)[0])
-        children = None if self.is_active(cid) else tuple(
-            self.child_ids(cid, *_QUAD).tolist())
-        return Cell(int(cid), level, i, j, self.bbox[0] + i * side,
-                    self.bbox[1] + j * side, side,
-                    None if parent < 0 else parent, children)
-
-    def active_cells(self):
-        for cid in self.active_ids.tolist():
-            yield self.cell(cid)
-
-    def area(self):
-        return float(np.sum(self.side ** 2))
-
-    @cached_property
-    def edges(self):
-        """Views of all edges, in edge-id order."""
-        e = self.edge_arrays
-        ids = self.active_ids.tolist()
-        x0, y0, h = self.x0.tolist(), self.y0.tolist(), self.side.tolist()
-        out = []
-        for n, (m, p, s, sub, kind, hang) in enumerate(
-                zip(*(a.tolist() for a in e))):
-            dx, dy = (0.0, 1.0) if s in (WEST, EAST) else (1.0, 0.0)
-            start = Point2(x0[m] + h[m] * (s == EAST), y0[m] + h[m] * (s == NORTH))
-            end = Point2(start.x + h[m] * dx, start.y + h[m] * dy)
-            out.append(Edge(n, (start, end), h[m], KINDS[kind], ids[m],
-                            ids[p] if p >= 0 else None, NORMALS[s], hang, s,
-                            sub))
-        return tuple(out)
-
-    def interior_edges(self):
-        return [e for e in self.edges if e.kind is EdgeKind.INTERIOR]
-
-    def boundary_edges(self):
-        return [e for e in self.edges if e.kind is not EdgeKind.INTERIOR]
-
-    # ------------------------------------------------------------------
-    # point location
-
-    def locate(self, x, y):
-        """Id of the active cell containing (x, y); raises outside the domain.
-
-        A point on a gridline belongs to the upper/right cell, except on the
-        far side of the domain and on the faces bordering the L-shape's
-        excluded quadrant, where it belongs to the lower/left one.
-        """
-        xmin, ymin, xmax, ymax = self.bbox
-        if not (xmin <= x <= xmax and ymin <= y <= ymax):
-            raise ValueError(f"point ({x}, {y}) outside the domain")
-        fx, fy = (x - xmin) / self.h0, (y - ymin) / self.h0
-        n = len(self._table)
-        i, j = min(math.floor(fx), n - 1), min(math.floor(fy), n - 1)
-        if self._table[i, j] < 0 and fx == i and self._table[i - 1, j] >= 0:
-            i -= 1
-        elif self._table[i, j] < 0 and fy == j:
-            j -= 1
-        cid = int(self._table[i, j])
-        if cid < 0:
-            raise ValueError(f"point ({x}, {y}) outside the domain")
-        for level in range(self.max_level + 1):
-            if self.is_active(cid):
-                return cid
-            side = math.ldexp(self.h0, -level)
-            kx = int(x >= xmin + i * side + 0.5 * side)
-            ky = int(y >= ymin + j * side + 0.5 * side)
-            cid = int(self.child_ids(cid, kx, ky))
-            i, j = 2 * i + kx, 2 * j + ky
-        raise MeshError(f"no active cell contains ({x}, {y})")
 
 
 def build_initial(shape, h0, partition=None):
     """Uniform mesh of square cells of side ``h0`` over the given domain.
 
-    ``h0`` must be 2**-j.  Boundary edges are classified by ``partition``
-    (face name -> 'D' or 'N'); the default is all-Dirichlet.  Roots are
+    ``h0`` must be 2**-j.  Boundary edges are classified by ``partition``,
+    which maps every face of the domain (:data:`BOUNDARY_FACES`) and no
+    other name to 'D' or 'N'; the default is all-Dirichlet.  Roots are
     numbered row by row, x fastest.
     """
     if not isinstance(shape, DomainShape):
@@ -555,6 +408,15 @@ def build_initial(shape, h0, partition=None):
     n = _root_grid_size(h0, shape)
     if partition is None:
         partition = all_dirichlet(shape)
+    faces = BOUNDARY_FACES[shape]
+    missing = [f for f in faces if f not in partition]
+    unknown = sorted(set(partition) - set(faces))
+    if missing or unknown:
+        raise MeshError(f"boundary partition of the {shape.value} domain: "
+                        f"missing faces {missing}, unknown faces {unknown}")
+    bad = {f: v for f, v in partition.items() if v not in ("D", "N")}
+    if bad:
+        raise MeshError(f"boundary partition values must be 'D' or 'N': {bad}")
     inside = np.ones((n, n), dtype=bool)          # indexed [rj, ri]
     if shape is DomainShape.L_SHAPE:
         inside[n // 2:, n // 2:] = False

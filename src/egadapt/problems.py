@@ -63,18 +63,9 @@ def at_points(fn, x, y, t):
     return np.broadcast_to(np.asarray(fn(x, y, t), float), np.shape(x))
 
 
-def clockwise_angle(x, y):
-    """Angle in [0, 3 pi / 2] measured clockwise from the positive x-axis.
-
-    Defined for points of the L-shaped domain; undefined at the origin.
-    """
-    if x == 0.0 and y == 0.0:
-        raise ValueError("clockwise angle is undefined at the origin")
-    return float(np.mod(-np.arctan2(y, x), TWO_PI))
-
-
 def _angle(x, y):
-    # vectorized variant; returns 0 at the origin, callers multiply by r^(2/3)
+    # angle in [0, 3 pi / 2] on the L-shape, clockwise from the positive
+    # x-axis; 0 at the origin, where callers multiply by r^(2/3)
     return np.mod(-np.arctan2(y, x), TWO_PI)
 
 

@@ -64,12 +64,3 @@ def edge_rule(k):
         raise ValueError(f"polynomial degree must be 1 or 2, got {k}")
     return gauss_1d(_count(k))
 
-
-def map_to_edge(rule, edge):
-    """Map a reference edge rule to physical points and arc-length weights."""
-    t = rule.points
-    dx, dy = edge.direction
-    p0 = edge.endpoints[0]
-    pts = np.column_stack([p0.x + t * edge.length * dx,
-                           p0.y + t * edge.length * dy])
-    return pts, rule.weights * edge.length

@@ -141,9 +141,6 @@ class EGSpace:
         self.cell_dofs = np.column_stack(
             [nodes, self.n_cg + np.arange(mesh.n_active)])
 
-    def const_dof(self, cid):
-        return self.n_cg + int(self.mesh.active_rows(cid))
-
     # -- hanging-node constraints ----------------------------------------
 
     def _build_constraints(self):
@@ -161,13 +158,6 @@ class EGSpace:
         self._masters, self._weights = masters[first], weights[sub[first]]
         if np.any(np.isin(self._masters, self.slaves)):
             raise MeshError("a hanging-node master is itself hanging")
-
-    @property
-    def constraints(self):
-        """Slave dof -> ((master dof, weight), ...)."""
-        return {s: tuple(zip(m, w)) for s, m, w in zip(
-            self.slaves.tolist(), self._masters.tolist(),
-            self._weights.tolist())}
 
     @cached_property
     def constraint_matrix(self):
@@ -285,7 +275,7 @@ class _CellTables:
 # ----------------------------------------------------------------------
 
 class DiscreteField:
-    """Coefficient vector over an EGSpace, evaluable cell by cell."""
+    """Coefficient vector over an EGSpace, evaluated at the cell-rule points."""
 
     def __init__(self, space, coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
@@ -294,30 +284,6 @@ class DiscreteField:
                              f"got shape {coeffs.shape}")
         self.space = space
         self.coeffs = coeffs
-
-    def evaluate(self, cid, ref_pts):
-        """Value, gradient and hessian of the restriction to one cell.
-
-        ``ref_pts`` are coordinates in the cell's reference square; the
-        returned derivatives are with respect to physical coordinates.
-        """
-        mesh = self.space.mesh
-        row = int(mesh.active_rows(cid))
-        if row < 0:
-            raise MeshError(f"cell {cid} is not active")
-        side = mesh.side[row]
-        N, G, H = tabulate(self.space.k, ref_pts)
-        loc = self.coeffs[self.space.cell_dofs[row]]
-        vals = N @ loc
-        grads = np.einsum("qai,i->qa", G, loc) / side
-        hess = np.einsum("qabi,i->qab", H, loc) / side ** 2
-        return vals, grads, hess
-
-    def value(self, x, y):
-        mesh = self.space.mesh
-        row = int(mesh.active_rows(mesh.locate(x, y)))
-        ref = (np.array([[x, y]]) - (mesh.x0[row], mesh.y0[row])) / mesh.side[row]
-        return float(self.evaluate(mesh.active_ids[row], ref)[0][0])
 
     def cell_values(self, deriv=0):
         """Batched values (or gradients/hessians) at the cell-rule points.
@@ -361,8 +327,8 @@ class TransferredField:
       value of the donor cell that contains it (piecewise donor values).
 
     A point on a midline belongs to the upper/right child (``>= 0.5``),
-    the tie rule of :meth:`Mesh.locate`, so :meth:`cell_values` agrees
-    with the donor's :meth:`DiscreteField.value` at every point.
+    so a point on a gridline takes the value of the donor cell above or to
+    the right of it, the rule of the test oracle ``reference.locate``.
     """
 
     def __init__(self, field, target):

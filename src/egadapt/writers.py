@@ -1,4 +1,4 @@
-"""Plain-text output: SVG mesh sketches, legacy-VTK grids, MatrixMarket dumps."""
+"""Plain-text output: SVG mesh sketches and legacy-VTK grids and fields."""
 
 from __future__ import annotations
 
@@ -94,8 +94,3 @@ def field_vtk(field, path, title="EG field", grid=None):
             "SCALARS const_part double\nLOOKUP_TABLE default\n",
             _lines("%.12g\n", field.coeffs[space.n_cg:])]))
 
-
-def matrix_market(matrix, path, comment="assembled system"):
-    """MatrixMarket coordinate dump of a sparse matrix (for debugging)."""
-    from scipy.io import mmwrite
-    mmwrite(path, matrix, comment=comment)

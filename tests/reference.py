@@ -2,20 +2,111 @@
 
 The library computes every quantity in one batched pass over the mesh.
 The functions here compute the same quantities one cell or one edge at a
-time, through :meth:`DiscreteField.evaluate`, so the tests can compare
-the batched code against an independent, directly readable formula.
+time, through :func:`evaluate` and the edge records of :func:`edges`, so
+the tests can compare the batched code against an independent, directly
+readable formula.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from egadapt import EdgeKind, edge_rule, map_to_edge
+from egadapt import EdgeKind, MeshError, edge_rule
 from egadapt.assembly import PenaltySpec, _edge_data, _EdgeGroup, edge_groups
 from egadapt.estimator import _div_k_grad, _normal_flux
-from egadapt.mesh import SQRT2, SUB_FULL
+from egadapt.mesh import EAST, KINDS, NORMALS, NORTH, SOUTH, SQRT2, SUB_FULL
 from egadapt.problems import at_points
-from egadapt.space import face_points
+from egadapt.space import face_points, tabulate
+
+
+# ----------------------------------------------------------------------
+# one cell, one point and one edge, from the mesh and space arrays
+
+def evaluate(field, cid, ref_pts):
+    """Value, gradient and hessian of the field's restriction to the active
+    cell ``cid`` at points of its reference square; the derivatives are
+    with respect to physical coordinates."""
+    space = field.space
+    row = int(space.mesh.active_rows(cid))
+    if row < 0:
+        raise MeshError(f"cell {cid} is not active")
+    side = space.mesh.side[row]
+    N, G, H = tabulate(space.k, ref_pts)
+    loc = field.coeffs[space.cell_dofs[row]]
+    return (N @ loc, np.einsum("qai,i->qa", G, loc) / side,
+            np.einsum("qabi,i->qab", H, loc) / side ** 2)
+
+
+def locate(mesh, x, y):
+    """Id of the active cell containing (x, y); ValueError outside the domain.
+
+    A point on a gridline belongs to the upper/right cell, or to the
+    lower/left one where there is none: on the far side of the domain and
+    on the faces of the L-shape's excluded quadrant.
+    """
+    x1, y1 = mesh.x0 + mesh.side, mesh.y0 + mesh.side
+    low = (mesh.x0 <= x) & (mesh.y0 <= y)
+    for right, top in ((x < x1, y < y1), (x <= x1, y < y1),
+                       (x < x1, y <= y1), (x <= x1, y <= y1)):
+        hit = np.flatnonzero(low & right & top)
+        if len(hit):
+            return int(mesh.active_ids[hit[0]])
+    raise ValueError(f"point ({x}, {y}) outside the domain")
+
+
+def value(field, x, y):
+    """Field value at the physical point (x, y), from the cell of :func:`locate`."""
+    mesh = field.space.mesh
+    cid = locate(mesh, x, y)
+    row = int(mesh.active_rows(cid))
+    ref = (np.array([[x, y]]) - (mesh.x0[row], mesh.y0[row])) / mesh.side[row]
+    return float(evaluate(field, cid, ref)[0][0])
+
+
+class EdgeRecord(NamedTuple):
+    """One edge of ``mesh.edge_arrays`` by cell ids, with its geometry.
+
+    ``plus_cell`` is None on the boundary.  The edge runs from ``start``
+    over ``length`` in ``direction``, the direction of increasing
+    coordinate; ``normal`` points from minus to plus (outward on the
+    boundary).
+    """
+
+    id: int
+    minus_cell: int
+    plus_cell: int | None
+    minus_side: int
+    plus_sub: int
+    kind: EdgeKind
+    hanging: bool
+    start: np.ndarray
+    length: float
+    direction: np.ndarray
+    normal: np.ndarray
+
+    def points(self, t):
+        """Physical points, shape (len(t), 2), at edge parameters t."""
+        return self.start + self.length * np.multiply.outer(t, self.direction)
+
+
+def edges(mesh, interior=None):
+    """Records of the mesh's edges in edge-id order: all of them, or only
+    the interior (``interior=True``) or the boundary ones (``False``)."""
+    ids, x0, y0, h = (a.tolist() for a in (mesh.active_ids, mesh.x0, mesh.y0,
+                                           mesh.side))
+    out = []
+    for n, (m, p, s, sub, kind, hang) in enumerate(
+            zip(*(a.tolist() for a in mesh.edge_arrays))):
+        if interior is None or (p >= 0) == interior:
+            start = np.array([x0[m] + h[m] * (s == EAST),
+                              y0[m] + h[m] * (s == NORTH)])
+            out.append(EdgeRecord(
+                n, ids[m], ids[p] if p >= 0 else None, s, sub, KINDS[kind],
+                hang, start, h[m],
+                np.array((0.0, 1.0) if s < SOUTH else (1.0, 0.0)),
+                np.array(NORMALS[s])))
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -47,7 +138,7 @@ def total_eta(eta_Ts):
 # traces, jumps and averages on one edge
 
 def _edge_trace(field, t, side, sub, cid):
-    return field.evaluate(cid, face_points(side, sub, t))
+    return evaluate(field, cid, face_points(side, sub, t))
 
 
 def jump_average(field, edge, t):
@@ -65,11 +156,9 @@ def jump_average(field, edge, t):
 
 def flux_jump_average(field, edge, t, K=None):
     """Jump and average of n . K grad(field) at edge parameter t."""
-    n = np.asarray(edge.normal)
+    n = edge.normal
     _, gm, _ = _edge_trace(field, t, edge.minus_side, SUB_FULL, edge.minus_cell)
-    t = np.asarray(t)
-    pts = np.column_stack([edge.start.x + t * edge.length * edge.direction[0],
-                           edge.start.y + t * edge.length * edge.direction[1]])
+    pts = edge.points(t)
     if K is None:
         fm = gm @ n
     else:
@@ -95,20 +184,26 @@ def _prev_values_at(prev, pts):
     return np.asarray(prev(pts[:, 0], pts[:, 1]), dtype=float)
 
 
+def _cell_square(mesh, cid):
+    """(x0, y0, side) of the active cell ``cid``."""
+    row = int(mesh.active_rows(cid))
+    return mesh.x0[row], mesh.y0[row], mesh.side[row]
+
+
 def _divergence_k_grad(field, cid, ref_pts, K, K_grad, fd_step):
     """div(K grad p_h) at reference points of one cell."""
-    c = field.space.mesh.cell(cid)
-    _, grads, hess = field.evaluate(cid, ref_pts)
+    x0, y0, side = _cell_square(field.space.mesh, cid)
+    _, grads, hess = evaluate(field, cid, ref_pts)
     if K is None:
         return hess[:, 0, 0] + hess[:, 1, 1]
-    pts = np.array([c.x0, c.y0]) + c.side * np.atleast_2d(ref_pts)
+    pts = np.array([x0, y0]) + side * np.atleast_2d(ref_pts)
     x, y = pts[:, 0], pts[:, 1]
     Kv = np.asarray(K(x, y), dtype=float)
     second = np.einsum("qab,qab->q", Kv, hess)
     if K_grad is not None:
         dK = np.asarray(K_grad(x, y), dtype=float)   # (q, 2, 2, 2): d_a K_ij
     else:
-        step = fd_step * c.diameter
+        step = fd_step * (side * SQRT2)
         dK = np.empty((len(x), 2, 2, 2))
         dK[:, 0] = (np.asarray(K(x + step, y), float)
                     - np.asarray(K(x - step, y), float)) / (2 * step)
@@ -126,16 +221,16 @@ def cell_residual_eta1(field, cid, prev, f, dt, t_n, K=None, K_grad=None,
     prev(x, y); ``f`` is the source f(x, y, t).
     """
     space = field.space
-    c = space.mesh.cell(cid)
+    x0, y0, side = _cell_square(space.mesh, cid)
     tb = space.tables
     ref = tb.rule.points
-    pts = np.array([c.x0, c.y0]) + c.side * ref
-    vals, _, _ = field.evaluate(cid, ref)
+    pts = np.array([x0, y0]) + side * ref
+    vals, _, _ = evaluate(field, cid, ref)
     resid = np.asarray(f(pts[:, 0], pts[:, 1], t_n), dtype=float) \
         + _divergence_k_grad(field, cid, ref, K, K_grad, fd_step) \
         - (vals - _prev_values_at(prev, pts)) / dt
-    norm_sq = c.side ** 2 * np.sum(tb.w * resid ** 2)
-    return c.diameter ** 2 * math.sqrt(norm_sq)
+    norm_sq = side ** 2 * np.sum(tb.w * resid ** 2)
+    return (side * SQRT2) ** 2 * math.sqrt(norm_sq)
 
 
 def edge_indicators(field, edge, t_n, K=None, g_N=None, g_D=None):
@@ -145,8 +240,8 @@ def edge_indicators(field, edge, t_n, K=None, g_N=None, g_D=None):
     Dirichlet edges {'eta5'}.
     """
     rule = edge_rule(field.space.k)
-    pts, w = map_to_edge(rule, edge)
     h = edge.length
+    pts, w = edge.points(rule.points), rule.weights * h
     if K is None:
         kmax = 1.0
     else:
@@ -304,10 +399,11 @@ def mesh_svg(mesh, path, size=640):
     scale = size / max(xmax - xmin, ymax - ymin)
     lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
              f'height="{size}" viewBox="0 0 {size} {size}">']
-    for cell in mesh.active_cells():
-        x = (cell.x0 - xmin) * scale
-        y = (ymax - cell.y0 - cell.side) * scale
-        w = cell.side * scale
+    for x0, y0, side in zip(mesh.x0.tolist(), mesh.y0.tolist(),
+                            mesh.side.tolist()):
+        x = (x0 - xmin) * scale
+        y = (ymax - y0 - side) * scale
+        w = side * scale
         lines.append(f'<rect x="{x:.3f}" y="{y:.3f}" width="{w:.3f}" '
                      f'height="{w:.3f}" fill="none" stroke="black" '
                      f'stroke-width="0.5"/>')
@@ -325,13 +421,14 @@ def _vtk_lines(fh, mesh, title):
     first-encounter order: cells by ascending id, corners counterclockwise
     from SW."""
     index, first, quads = {}, [], []
-    for cell in mesh.active_cells():
+    for cid, x0, y0, side in zip(*(a.tolist() for a in (
+            mesh.active_ids, mesh.x0, mesh.y0, mesh.side))):
         quad = []
         for a, b in _CORNERS:
-            xy = (cell.x0 + a * cell.side, cell.y0 + b * cell.side)
+            xy = (x0 + a * side, y0 + b * side)
             if xy not in index:
                 index[xy] = len(first)
-                first.append((cell.id, a, b, xy))
+                first.append((cid, a, b, xy))
             quad.append(index[xy])
         quads.append(quad)
     fh.write("# vtk DataFile Version 3.0\n")
@@ -370,5 +467,5 @@ def field_vtk(field, path, title="EG field"):
             fh.write(f"{field.coeffs[dof]:.12g}\n")
         fh.write(f"CELL_DATA {space.mesh.n_active}\n")
         fh.write("SCALARS const_part double\nLOOKUP_TABLE default\n")
-        for cid in space.mesh.active_ids:
-            fh.write(f"{field.coeffs[space.const_dof(cid)]:.12g}\n")
+        for const in field.coeffs[space.n_cg:]:
+            fh.write(f"{const:.12g}\n")

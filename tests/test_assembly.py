@@ -18,7 +18,7 @@ from egadapt.mesh import SUB_FULL
 from egadapt.space import _hanging_table
 
 from conftest import random_adaptive_mesh
-from reference import assemble_rhs_add_at, edge_matrix
+from reference import assemble_rhs_add_at, edge_matrix, edges, evaluate
 from test_mesh import HISTORIES, _random_history
 
 
@@ -61,9 +61,7 @@ class TestElementMatrices:
         ones = np.zeros(s.n_dofs)
         ones[:s.n_cg] = 1.0      # the constant function via the CG part
         v = M @ ones
-        for cid in m.active_ids:
-            assert v[s.const_dof(cid)] == pytest.approx(
-                m.cell(cid).side ** 2, abs=1e-13)
+        assert np.allclose(v[s.n_cg:], m.side ** 2, rtol=0.0, atol=1e-13)
 
     def test_const_const_block_diagonal(self):
         m = build_initial(DomainShape.L_SHAPE, 1.0)
@@ -79,7 +77,7 @@ class TestEdgeTerms:
         # jump one: the quadratic form of the edge matrix is exactly alpha
         m = build_initial(DomainShape.L_SHAPE, 1.0)
         s = EGSpace(m, 1)
-        e = m.interior_edges()[0]
+        e = edges(m, interior=True)[0]
         for alpha in (1.0, 2.5):
             dofs, L = edge_matrix(s, e, None, PenaltySpec(alpha, 0))
             v = np.zeros(len(dofs))
@@ -115,9 +113,8 @@ class TestEdgeTerms:
     def test_penalty_monotonicity(self):
         m = build_initial(DomainShape.L_SHAPE, 1.0)
         s = EGSpace(m, 1)
-        e = m.interior_edges()[0]
         v = np.zeros(s.n_dofs)
-        v[s.const_dof(e.minus_cell)] = 1.0
+        v[s.n_cg + m.edge_arrays.minus[m.edge_arrays.plus >= 0][0]] = 1.0
         prev = None
         for alpha in (0.5, 1.0, 2.0, 4.0):
             A = assemble_A_theta(s, None, PenaltySpec(alpha, 0))
@@ -173,7 +170,7 @@ def per_edge_oracle(space, K, penalty):
     only one of the repeated contributions.
     """
     ref = assemble_stiffness(space, K).toarray()
-    for e in space.mesh.edges:
+    for e in edges(space.mesh):
         dofs, L = edge_matrix(space, e, K, penalty)
         np.add.at(ref, (dofs[:, None], dofs[None, :]), L)
     return ref
@@ -305,8 +302,7 @@ class TestRhs:
             g_N = staticmethod(lambda x, y, t: np.zeros_like(x))
             K = None
         b = assemble_rhs(s, P, 0.0, PenaltySpec(1.0, 0))
-        for cid in m.active_ids:
-            assert b[s.const_dof(cid)] == pytest.approx(1.0, abs=1e-13)
+        assert np.allclose(b[s.n_cg:], 1.0, rtol=0.0, atol=1e-13)
 
     def test_previous_state_term_is_mass_action(self):
         m = build_initial(DomainShape.UNIT_SQUARE, 0.5)
@@ -327,10 +323,8 @@ class TestRhs:
         assert np.allclose(b, (c / dt) * (M @ ones), atol=1e-13)
 
     def test_neumann_load(self):
-        m = build_initial(DomainShape.UNIT_SQUARE, 1.0)
         part = {"left": "D", "right": "D", "top": "D", "bottom": "N"}
-        m = m.classify_edges(part)
-        s = EGSpace(m, 1)
+        s = EGSpace(build_initial(DomainShape.UNIT_SQUARE, 1.0, part), 1)
 
         class P:
             f = staticmethod(lambda x, y, t: np.zeros_like(x))
@@ -373,17 +367,20 @@ class TestRhsScatter:
 
 
 def reference_constraint_matrix(space, pins=()):
-    """Per-dof loop building the constraint map, pinned rows left empty."""
+    """Per-dof loop building the constraint map from the slaves' master
+    dofs and weights, pinned rows left empty."""
     n = space.n_dofs
-    skip = set(space.constraints) | set(pins)
+    skip = set(space.slaves.tolist()) | set(pins)
     rows, cols, vals = [], [], []
     for i in range(n):
         if i not in skip:
             rows.append(i)
             cols.append(i)
             vals.append(1.0)
-    for s, terms in space.constraints.items():
-        for m, w in terms:
+    for s, masters, weights in zip(space.slaves.tolist(),
+                                   space._masters.tolist(),
+                                   space._weights.tolist()):
+        for m, w in zip(masters, weights):
             rows.append(s)
             cols.append(m)
             vals.append(w)
@@ -394,20 +391,20 @@ class TestConstraintMatrix:
     @pytest.mark.parametrize("k", [1, 2])
     def test_against_reference_loop(self, k):
         s = EGSpace(random_adaptive_mesh(seed=3), k)
-        assert s.constraints
+        assert len(s.slaves)
         C, ref = s.constraint_matrix, reference_constraint_matrix(s)
         assert C.format == "csr" and C.nnz == ref.nnz
         assert np.array_equal(C.toarray(), ref.toarray())
 
     def test_no_hanging_nodes_is_identity(self):
         s = EGSpace(build_initial(DomainShape.UNIT_SQUARE, 0.5), 1)
-        assert not s.constraints
+        assert not len(s.slaves)
         assert np.array_equal(s.constraint_matrix.toarray(), np.eye(s.n_dofs))
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_condensed_matrix_entry_for_entry(self, k):
         s = EGSpace(random_adaptive_mesh(seed=4), k)
-        assert s.constraints
+        assert len(s.slaves)
         S = euler_matrix(s, theta=-1)
         solver = CondensedSolver(S, s)
         C, ref = oracle_condensed(s, S)
@@ -445,7 +442,8 @@ def oracle_condensed(space, S):
     pins = [space.n_cg]
     C = reference_constraint_matrix(space, pins)
     diag = np.zeros(space.n_dofs)
-    diag[sorted(set(space.constraints) | set(pins))] = 1.0
+    diag[space.slaves] = 1.0
+    diag[pins] = 1.0
     return C, (C.T @ S @ C + sparse.diags(diag)).tocsc()
 
 
@@ -460,16 +458,17 @@ def subtree_oracle(space):
     cell at a time."""
     mesh = space.mesh
     ranges = []
-    for c in mesh.active_cells():
-        d = mesh.max_level - c.level
-        lo = _morton(c.i << d, c.j << d)
+    for level, i, j in zip(*(a.tolist() for a in (mesh.level, mesh.i, mesh.j))):
+        d = mesh.max_level - level
+        lo = _morton(i << d, j << d)
         ranges.append((lo, lo + 4 ** d - 1))
     support = [set() for _ in range(space.n_dofs)]
     for row, dofs in enumerate(space.cell_dofs.tolist()):
         for dof in dofs:
             support[dof].add(row)
-    for e in mesh.interior_edges():
-        m, p = (int(mesh.active_rows(c)) for c in (e.minus_cell, e.plus_cell))
+    e = mesh.edge_arrays
+    inner = e.plus >= 0
+    for m, p in zip(e.minus[inner].tolist(), e.plus[inner].tolist()):
         support[space.n_cg + m].add(p)
         support[space.n_cg + p].add(m)
     out = []
@@ -506,7 +505,7 @@ class TestSolve:
     @pytest.mark.parametrize("theta", [-1, 0, 1])
     def test_matches_oracle_condensed_solve(self, k, theta):
         s = EGSpace(random_adaptive_mesh(seed=4), k)
-        assert s.constraints
+        assert len(s.slaves)
         S = euler_matrix(s, theta)
         b = np.random.default_rng(k).standard_normal(s.n_dofs)
         C, ref = oracle_condensed(s, S)
@@ -576,8 +575,10 @@ class TestSolve:
             K = None
         b = assemble_rhs(s, P, 0.0, pen)
         f = apply_constraints_and_solve(S, b, s)
-        for slave, terms in s.constraints.items():
-            expect = sum(w * f.coeffs[mst] for mst, w in terms)
+        C = s.constraint_matrix
+        for slave in s.slaves:
+            row = C[slave]
+            expect = row.data @ f.coeffs[row.indices]
             assert f.coeffs[slave] == pytest.approx(expect, abs=1e-13)
         assert galerkin_residual(S, b, f) <= 1e-9 * np.linalg.norm(b)
 
@@ -607,8 +608,8 @@ def _traces(field, rows, P):
     """Values (E, nq) and physical gradients (E, nq, 2) of the field's
     restriction to the cells ``rows`` at the physical points P (E, nq, 2)."""
     mesh = field.space.mesh
-    out = [field.evaluate(mesh.active_ids[r],
-                          (pts - (mesh.x0[r], mesh.y0[r])) / mesh.side[r])
+    out = [evaluate(field, mesh.active_ids[r],
+                    (pts - (mesh.x0[r], mesh.y0[r])) / mesh.side[r])
            for r, pts in zip(rows, P)]
     return np.array([o[0] for o in out]), np.array([o[1] for o in out])
 

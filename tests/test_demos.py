@@ -1,10 +1,15 @@
 """Smoke tests of the demos that drive the public mesh, assembly and solve
-API, and of the benchmark tracer's hooks into the library."""
+API, of the names every demo imports, and of the benchmark tracer's hooks
+into the library."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,6 +33,21 @@ def test_eg_space_and_solve_demo_runs(tmp_path):
     proc = _run([str(ROOT / "demos" / "02_eg_space_and_solve.py")], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in
+                                         (ROOT / "demos").glob("*.py")))
+def test_demo_imports_exist(demo):
+    # the long demos do not run here; a name removed from the library
+    # must still not leave one of them with a broken import
+    tree = ast.parse((ROOT / "demos" / demo).read_text())
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "egadapt"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), \
+                    f"{demo}: {node.module}.{alias.name} does not exist"
 
 
 def test_benchmark_tracer_installs():

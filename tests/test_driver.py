@@ -325,16 +325,6 @@ class TestWriters:
         assert ((tmp_path / "shared.vtk").read_bytes()
                 == (tmp_path / "own.vtk").read_bytes())
 
-    def test_matrix_market_dump(self, tmp_path):
-        from egadapt import assemble_mass
-        m = build_initial(DomainShape.UNIT_SQUARE, 1.0)
-        s = EGSpace(m, 1)
-        M = assemble_mass(s)
-        path = tmp_path / "mass.mtx"
-        writers.matrix_market(M, str(path))
-        first = path.read_text().splitlines()[0]
-        assert first.startswith("%%MatrixMarket matrix coordinate")
-
     def test_snapshots_written_at_requested_times(self, tmp_path):
         cfg = RunConfig(problem="example1", mode="uniform", h0=0.5, dt=0.05,
                         T_final=0.5, output_dir=str(tmp_path),

@@ -8,8 +8,8 @@ from egadapt import (DiscreteField, DomainShape, EGSpace, build_initial,
 from egadapt.problems import example1, smoke_linear
 
 from conftest import random_adaptive_mesh
-from reference import (cell_residual_eta1, edge_indicators, indicators_add_at,
-                       local_eta_T, total_eta)
+from reference import (cell_residual_eta1, edge_indicators, edges,
+                       indicators_add_at, local_eta_T, total_eta)
 
 
 def zero(x, y, t=0.0):
@@ -97,7 +97,7 @@ class TestEdgeIndicators:
         m = random_adaptive_mesh(rounds=1, seed=0)
         s = EGSpace(m, 1)
         fld = interpolate(s, lambda x, y: x * y)
-        for e in m.interior_edges():
+        for e in edges(m, interior=True):
             d = edge_indicators(fld, e, 0.0)
             assert d["eta4"] <= 1e-13
 
@@ -105,7 +105,7 @@ class TestEdgeIndicators:
         m = build_initial(DomainShape.UNIT_SQUARE, 1.0)
         s = EGSpace(m, 1)
         fld = DiscreteField(s, np.zeros(s.n_dofs))
-        e = m.boundary_edges()[0]
+        e = edges(m, interior=False)[0]
         d = edge_indicators(fld, e, 0.0,
                             g_D=lambda x, y, t: np.ones_like(x))
         assert d["eta5"] == pytest.approx(1.0, abs=1e-13)
@@ -113,9 +113,9 @@ class TestEdgeIndicators:
     def test_constant_jump_across_half_unit_edge(self):
         m = build_initial(DomainShape.UNIT_SQUARE, 0.5)
         s = EGSpace(m, 1)
-        e = m.interior_edges()[0]
+        e = edges(m, interior=True)[0]
         coeffs = np.zeros(s.n_dofs)
-        coeffs[s.const_dof(e.minus_cell)] = 1.0
+        coeffs[s.n_cg + m.active_rows(e.minus_cell)] = 1.0
         fld = DiscreteField(s, coeffs)
         d = edge_indicators(fld, e, 0.0)
         # eta4 = K_max * h^(1/2) * ||1||_{L2} = 1 * (1/2)^(1/2) * (1/2)^(1/2)
@@ -127,18 +127,17 @@ class TestEdgeIndicators:
         m = build_initial(DomainShape.UNIT_SQUARE, 0.5)
         s = EGSpace(m, 1)
         fld = interpolate(s, lambda x, y: x ** 2)
-        for e in m.interior_edges():
-            if e.endpoints[0].x == 0.5 and e.endpoints[1].x == 0.5:
+        for e in edges(m, interior=True):
+            if np.all(e.points([0.0, 1.0])[:, 0] == 0.5):
                 d = edge_indicators(fld, e, 0.0)
                 assert d["eta2"] == pytest.approx(0.25, abs=1e-13)
 
     def test_neumann_indicator(self):
-        m = build_initial(DomainShape.UNIT_SQUARE, 1.0)
         part = {"left": "D", "right": "D", "top": "D", "bottom": "N"}
-        m = m.classify_edges(part)
+        m = build_initial(DomainShape.UNIT_SQUARE, 1.0, part)
         s = EGSpace(m, 1)
         fld = DiscreteField(s, np.zeros(s.n_dofs))
-        e = next(e for e in m.boundary_edges() if e.kind.value == "neumann")
+        e = next(e for e in edges(m) if e.kind.value == "neumann")
         d = edge_indicators(fld, e, 0.0, g_N=lambda x, y, t: np.ones_like(x))
         assert d["eta3"] == pytest.approx(1.0, abs=1e-13)
 
@@ -248,7 +247,7 @@ class TestBatchedAgainstReference:
         e2 = np.zeros(mesh.n_active)
         e4 = np.zeros(mesh.n_active)
         e5 = np.zeros(mesh.n_active)
-        for e in mesh.edges:
+        for e in edges(mesh):
             if e.kind.value == "interior":
                 d = edge_indicators(fld, e, 0.3, K=K)
                 for cid in (e.minus_cell, e.plus_cell):
@@ -305,15 +304,16 @@ class TestScalingLaws:
                 fld, cell, None,
                 lambda x, y, t: np.full_like(x, 1.0 / math.sqrt(area)),
                 dt=1.0, t_n=0.0)
-            edge = m.boundary_edges()[0]
+            edge = edges(m, interior=False)[0]
             d5 = edge_indicators(
                 fld, edge, 0.0,
                 g_D=lambda x, y, t: np.full_like(x, 1.0 / math.sqrt(h0)))
-            mN = m.classify_edges({"left": "D", "right": "D", "top": "D",
-                                   "bottom": "N"})
+            mN = build_initial(DomainShape.UNIT_SQUARE, h0,
+                               {"left": "D", "right": "D", "top": "D",
+                                "bottom": "N"})
             sN = EGSpace(mN, 1)
             fldN = DiscreteField(sN, np.zeros(sN.n_dofs))
-            eN = next(e for e in mN.boundary_edges() if e.kind.value == "neumann")
+            eN = next(e for e in edges(mN) if e.kind.value == "neumann")
             d3 = edge_indicators(
                 fldN, eN, 0.0,
                 g_N=lambda x, y, t: np.full_like(x, 1.0 / math.sqrt(h0)))
@@ -331,9 +331,9 @@ class TestScalingLaws:
         for h0 in (0.5, 0.25):
             m = build_initial(DomainShape.UNIT_SQUARE, h0)
             s = EGSpace(m, 1)
-            e = m.interior_edges()[0]
+            e = edges(m, interior=True)[0]
             coeffs = np.zeros(s.n_dofs)
-            coeffs[s.const_dof(e.minus_cell)] = 1.0 / math.sqrt(h0)
+            coeffs[s.n_cg + m.active_rows(e.minus_cell)] = 1.0 / math.sqrt(h0)
             fld = DiscreteField(s, coeffs)
             vals[h0] = edge_indicators(fld, e, 0.0)["eta4"]
         assert vals[0.25] / vals[0.5] == pytest.approx(2.0 ** -0.5, rel=1e-12)
@@ -373,7 +373,7 @@ class TestCornerDominance:
             prev = fld.cell_values(0)
             fld = DiscreteField(s, solver.solve(b))
         ind = compute_indicators(s, fld, prev, prob, 0.1, dt, 1.0)
-        top = ind.cell_ids[int(np.argmax(ind.eta_T))]
-        c = m.cell(top)
-        assert abs(c.x0) <= c.side and abs(c.y0) <= c.side, \
+        top = m.active_rows(ind.cell_ids[int(np.argmax(ind.eta_T))])
+        x0, y0, side = m.x0[top], m.y0[top], m.side[top]
+        assert abs(x0) <= side and abs(y0) <= side, \
             "largest indicator should sit at the re-entrant corner"

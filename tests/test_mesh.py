@@ -4,25 +4,32 @@ from hypothesis import given, settings, strategies as st
 
 from egadapt import (ConfigError, DomainShape, EdgeKind, EGSpace, MeshError,
                      build_initial)
+from egadapt.mesh import EAST, KINDS, NORMALS, NORTH, SOUTH
 
 from conftest import random_adaptive_mesh
+from reference import locate
+
+DIRICHLET, NEUMANN = (KINDS.index(k) for k in (EdgeKind.DIRICHLET,
+                                                EdgeKind.NEUMANN))
 
 
 def levels_across_edges(mesh):
-    out = []
-    for e in mesh.interior_edges():
-        lm = mesh.cell(e.minus_cell).level
-        lp = mesh.cell(e.plus_cell).level
-        out.append(abs(lm - lp))
-    return out
+    e = mesh.edge_arrays
+    inner = e.plus >= 0
+    return np.abs(mesh.level[e.minus[inner]] - mesh.level[e.plus[inner]])
+
+
+def centers(mesh):
+    """(C, 2) cell centers."""
+    return np.column_stack([mesh.x0, mesh.y0]) + 0.5 * mesh.side[:, None]
 
 
 class TestBuildInitial:
     def test_lshape_unit_cells(self):
         m = build_initial(DomainShape.L_SHAPE, 1.0)
         assert m.n_active == 3
-        assert len(m.interior_edges()) == 2
-        assert len(m.boundary_edges()) == 8
+        assert np.sum(m.edge_arrays.plus >= 0) == 2
+        assert np.sum(m.edge_arrays.plus < 0) == 8
 
     def test_lshape_half(self):
         assert build_initial(DomainShape.L_SHAPE, 0.5).n_active == 12
@@ -30,7 +37,7 @@ class TestBuildInitial:
     def test_unit_square_grid(self):
         m = build_initial(DomainShape.UNIT_SQUARE, 0.25)
         assert m.n_active == 16
-        assert len(m.interior_edges()) == 24
+        assert np.sum(m.edge_arrays.plus >= 0) == 24
 
     def test_rejects_non_dyadic_h0(self):
         with pytest.raises(ConfigError):
@@ -40,9 +47,8 @@ class TestBuildInitial:
 
     def test_cell_geometry(self):
         m = build_initial(DomainShape.UNIT_SQUARE, 0.5)
-        c = m.cell(m.active_ids[0])
-        assert c.side == 0.5
-        assert c.diameter == pytest.approx(0.5 * np.sqrt(2.0))
+        assert np.all(m.side == 0.5) and np.all(m.level == 0)
+        assert (m.x0[1], m.y0[1]) == (0.5, 0.0)      # roots row by row, x fastest
 
 
 class TestRefine:
@@ -63,14 +69,10 @@ class TestRefine:
         # must force its level-1 face neighbor to refine as well
         m = build_initial(DomainShape.UNIT_SQUARE, 1.0)
         m = m.refine(list(m.active_ids))          # 4 cells at level 1
-        sw = min(m.active_ids, key=lambda cid: (m.cell(cid).y0, m.cell(cid).x0))
-        m = m.refine([sw])                        # SW quad at level 2
-        # pick the level-2 cell touching the level-1 SE neighbor
-        lvl2 = [cid for cid in m.active_ids if m.cell(cid).level == 2]
-        target = max(lvl2, key=lambda cid: (m.cell(cid).x0, -m.cell(cid).y0))
-        se = [cid for cid in m.active_ids
-              if m.cell(cid).level == 1 and m.cell(cid).x0 == 0.5
-              and m.cell(cid).y0 == 0.0][0]
+        m = m.refine([locate(m, 0.0, 0.0)])       # SW quad at level 2
+        # the level-2 cell touching the level-1 SE neighbor
+        target, se = locate(m, 0.25, 0.0), locate(m, 0.5, 0.0)
+        assert m.level[m.active_rows([target, se])].tolist() == [2, 1]
         r = m.refine([target])
         assert not r.is_active(se), "level-1 neighbor must be refined by closure"
         assert max(levels_across_edges(r)) <= 1
@@ -108,19 +110,18 @@ class TestCoarsen:
         # coarsening a quad is refused if a neighbor would end up 2 levels finer
         m = build_initial(DomainShape.UNIT_SQUARE, 1.0)
         m = m.refine(list(m.active_ids))
-        sw = min(m.active_ids, key=lambda cid: (m.cell(cid).y0, m.cell(cid).x0))
-        m = m.refine([sw])
-        lvl2 = [cid for cid in m.active_ids if m.cell(cid).level == 2]
-        ne2 = max(lvl2, key=lambda cid: (m.cell(cid).x0 + m.cell(cid).y0))
+        m = m.refine([locate(m, 0.0, 0.0)])
+        ne2 = locate(m, 0.25, 0.25)     # the NE child of the SW quad
         m2 = m.refine([ne2])   # creates level-3 cells next to the level-2 ring
-        lvl2_now = [cid for cid in m2.active_ids if m2.cell(cid).level == 2]
+        lvl2_now = m2.active_ids[m2.level == 2]
         before = m2.n_active
         c = m2.coarsen(lvl2_now)
         # both complete quadruples (parents 2 and 3) border the level-3
         # children of cell 8, so neither may coarsen
         assert c is m2 and before == 16
-        for p in (2, 3):
-            assert all(c.is_active(kid) for kid in m2.cell(p).children)
+        kids = m2.child_ids([[2], [3]], np.array([0, 1, 0, 1]),
+                            np.array([0, 0, 1, 1]))
+        assert np.all(c.active_rows(kids) >= 0)
 
     def test_refine_coarsen_roundtrip_identity(self):
         m = random_adaptive_mesh(rounds=2, seed=5)
@@ -150,21 +151,21 @@ class TestInvariants:
 
     def test_normals_point_minus_to_plus(self):
         m = random_adaptive_mesh(rounds=2, seed=3)
-        for e in m.interior_edges():
-            cm = m.cell(e.minus_cell).center
-            cp = m.cell(e.plus_cell).center
-            d = np.array([cp.x - cm.x, cp.y - cm.y])
-            assert np.dot(d, e.normal) > 0
+        e = m.edge_arrays
+        inner = e.plus >= 0
+        d = centers(m)[e.plus[inner]] - centers(m)[e.minus[inner]]
+        assert np.all(np.sum(d * np.take(NORMALS, e.side[inner], axis=0),
+                             axis=1) > 0)
 
     def test_hanging_flags_and_half_lengths(self):
         m = build_initial(DomainShape.L_SHAPE, 1.0)
         m = m.refine([m.active_ids[0]])
-        hang = [e for e in m.edges if e.hanging]
-        assert len(hang) == 4
-        for e in hang:
-            assert e.kind is EdgeKind.INTERIOR
-            assert e.length == m.cell(e.minus_cell).side
-            assert m.cell(e.plus_cell).level == m.cell(e.minus_cell).level - 1
+        e = m.edge_arrays
+        fine, coarse = e.minus[e.hanging], e.plus[e.hanging]
+        assert len(fine) == 4
+        assert np.all(e.kind[e.hanging] == KINDS.index(EdgeKind.INTERIOR))
+        assert np.all(m.side[coarse] == 2 * m.side[fine])
+        assert np.all(m.level[coarse] == m.level[fine] - 1)
 
     def test_h_min_tracks_refinement(self):
         m = build_initial(DomainShape.UNIT_SQUARE, 0.5)
@@ -176,45 +177,53 @@ class TestInvariants:
 class TestClassifyEdges:
     def test_all_dirichlet_default(self):
         m = build_initial(DomainShape.L_SHAPE, 1.0)
-        kinds = [e.kind for e in m.boundary_edges()]
-        assert kinds.count(EdgeKind.DIRICHLET) == 8
-        assert kinds.count(EdgeKind.NEUMANN) == 0
+        e = m.edge_arrays
+        assert np.array_equal(e.kind[e.plus < 0], [DIRICHLET] * 8)
 
     def test_bottom_neumann_unit_square(self):
-        m = build_initial(DomainShape.UNIT_SQUARE, 0.5)
         part = {"left": "D", "right": "D", "top": "D", "bottom": "N"}
-        m = m.classify_edges(part)
-        neumann = [e for e in m.boundary_edges() if e.kind is EdgeKind.NEUMANN]
-        assert len(neumann) == 2
-        assert all(e.endpoints[0].y == 0.0 and e.endpoints[1].y == 0.0
-                   for e in neumann)
+        m = build_initial(DomainShape.UNIT_SQUARE, 0.5, part)
+        e = m.edge_arrays
+        neumann = e.kind == NEUMANN
+        assert np.sum(neumann) == 2
+        assert np.all(e.side[neumann] == SOUTH)
+        assert np.all(m.y0[e.minus[neumann]] == 0.0)
 
     def test_refinement_splits_boundary_edges(self):
         m = build_initial(DomainShape.UNIT_SQUARE, 1.0)
-        n_before = len(m.boundary_edges())
         r = m.refine(list(m.active_ids))
-        assert len(r.boundary_edges()) == 2 * n_before
-        assert all(e.kind is EdgeKind.DIRICHLET for e in r.boundary_edges())
+        before, after = (np.sum(a.edge_arrays.plus < 0) for a in (m, r))
+        assert after == 2 * before
+        e = r.edge_arrays
+        assert np.all(e.kind[e.plus < 0] == DIRICHLET)
 
     def test_missing_face_is_an_error(self):
-        m = build_initial(DomainShape.L_SHAPE, 1.0)
-        with pytest.raises(MeshError):
-            m.classify_edges({"left": "D"})
+        full = {"left": "D", "right": "D", "bottom": "D", "top": "D",
+                "inner_vertical": "D", "inner_horizontal": "D"}
+        for bad in ({"left": "D"},                     # missing faces
+                    {**full, "left": "d"},             # lowercase value
+                    {**full, "front": "D"}):           # unknown face
+            with pytest.raises(MeshError):
+                build_initial(DomainShape.L_SHAPE, 1.0, bad)
+        with pytest.raises(MeshError):                 # inner faces of L only
+            build_initial(DomainShape.UNIT_SQUARE, 1.0, full)
 
     def test_inner_faces_have_their_own_names(self):
-        m = build_initial(DomainShape.L_SHAPE, 1.0)
         part = {"left": "D", "right": "D", "bottom": "D", "top": "D",
                 "inner_vertical": "N", "inner_horizontal": "N"}
-        m = m.classify_edges(part)
-        neumann = [e for e in m.boundary_edges() if e.kind is EdgeKind.NEUMANN]
-        assert len(neumann) == 2
-        for e in neumann:
-            on_x0 = e.endpoints[0].x == 0.0 and e.endpoints[1].x == 0.0
-            on_y0 = e.endpoints[0].y == 0.0 and e.endpoints[1].y == 0.0
-            assert on_x0 or on_y0
+        m = build_initial(DomainShape.L_SHAPE, 1.0, part)
+        e = m.edge_arrays
+        neumann = e.kind == NEUMANN
+        # the east face of a cell left of x = 0, the north face below y = 0
+        assert sorted(e.side[neumann]) == [EAST, NORTH]
+        rows = e.minus[neumann]
+        far = np.where(e.side[neumann] == EAST, m.x0[rows], m.y0[rows])
+        assert np.all(far + m.side[rows] == 0.0)
 
 
 class TestLocate:
+    """The point-location oracle of the transfer tests."""
+
     def test_simple_points(self):
         m = random_adaptive_mesh(rounds=2, seed=2)
         rng = np.random.default_rng(0)
@@ -222,22 +231,21 @@ class TestLocate:
             x, y = rng.uniform(-1, 1, size=2)
             if x > 0 and y > 0:
                 continue
-            cid = m.locate(x, y)
-            c = m.cell(cid)
-            assert c.x0 <= x <= c.x0 + c.side
-            assert c.y0 <= y <= c.y0 + c.side
+            row = m.active_rows(locate(m, x, y))
+            assert m.x0[row] <= x <= m.x0[row] + m.side[row]
+            assert m.y0[row] <= y <= m.y0[row] + m.side[row]
 
     def test_outside_raises(self):
         m = build_initial(DomainShape.L_SHAPE, 1.0)
         with pytest.raises(ValueError):
-            m.locate(0.5, 0.5)
+            locate(m, 0.5, 0.5)
         with pytest.raises(ValueError):
-            m.locate(2.0, 0.0)
+            locate(m, 2.0, 0.0)
 
     def test_reentrant_boundary_points(self):
         m = build_initial(DomainShape.L_SHAPE, 0.5)
-        assert m.cell(m.locate(0.0, 0.5)).x0 == -0.5
-        assert m.cell(m.locate(0.5, 0.0)).y0 == -0.5
+        assert m.x0[m.active_rows(locate(m, 0.0, 0.5))] == -0.5
+        assert m.y0[m.active_rows(locate(m, 0.5, 0.0))] == -0.5
 
 
 def _random_history(shape, ops, seed):
@@ -272,24 +280,26 @@ class TestRandomHistories:
         m = _random_history(shape, ops, seed)
         assert max(levels_across_edges(m)) <= 1
         assert m.area() == (1.0 if shape is DomainShape.UNIT_SQUARE else 3.0)
-        covered = {}
-        for e in m.edges:
-            sides = [(e.minus_cell, e.minus_side)]
-            if e.plus_cell is not None:
-                sides.append((e.plus_cell, e.minus_side ^ 1))   # opposite
-                cm, cp = m.cell(e.minus_cell).center, m.cell(e.plus_cell).center
-                assert np.dot([cp.x - cm.x, cp.y - cm.y], e.normal) > 0
-            for key in sides:
-                covered[key] = covered.get(key, 0.0) + e.length
-        assert covered == {(c.id, side): c.side for c in m.active_cells()
-                           for side in range(4)}
+        # every side of every cell is covered once by the edges on it, the
+        # plus cell on the opposite side; an edge is as long as its minus side
+        e = m.edge_arrays
+        inner = e.plus >= 0
+        covered = np.zeros((m.n_active, 4))
+        np.add.at(covered, (e.minus, e.side), m.side[e.minus])
+        np.add.at(covered, (e.plus[inner], e.side[inner] ^ 1),
+                  m.side[e.minus[inner]])
+        assert np.array_equal(covered, np.repeat(m.side[:, None], 4, axis=1))
+        d = centers(m)[e.plus[inner]] - centers(m)[e.minus[inner]]
+        assert np.all(np.sum(d * np.take(NORMALS, e.side[inner], axis=0),
+                             axis=1) > 0)
 
     @settings(max_examples=16, deadline=None, derandomize=True)
     @given(k=st.sampled_from([1, 2]), **HISTORIES)
     def test_dof_numbering_and_constraints(self, k, shape, ops, seed):
         s = EGSpace(_random_history(shape, ops, seed), k)
-        masters = {mst for terms in s.constraints.values() for mst, _ in terms}
-        assert not masters & set(s.constraints)
+        # no master of a hanging node is itself hanging
+        C = s.constraint_matrix
+        assert not np.isin(C[s.slaves].indices, s.slaves).any()
         # nodes are numbered in first-encounter order, row by row
         nodes, first = np.unique(s.cell_dofs[:, :-1], return_index=True)
         assert np.array_equal(nodes, np.arange(s.n_cg))

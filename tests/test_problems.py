@@ -5,8 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from egadapt import (EGSpace, RunConfig, by_name, clockwise_angle, problems,
-                     run_timeloop)
+from egadapt import EGSpace, RunConfig, by_name, problems, run_timeloop
 from egadapt.problems import example1, example2, smoke_linear
 
 from conftest import random_adaptive_mesh
@@ -51,20 +50,22 @@ def interior_points(rng, n, rmin=0.1):
 
 
 class TestClockwiseAngle:
+    """The angle of the corner singularity, ``problems._angle``."""
+
     def test_fourth_quadrant(self):
-        assert clockwise_angle(0.5, -0.5) == pytest.approx(math.pi / 4)
+        assert problems._angle(0.5, -0.5) == pytest.approx(math.pi / 4)
 
     def test_negative_x_axis(self):
-        assert clockwise_angle(-1.0, 0.0) == pytest.approx(math.pi)
+        assert problems._angle(-1.0, 0.0) == pytest.approx(math.pi)
 
     def test_positive_y_axis(self):
-        phi = clockwise_angle(0.0, 1.0)
+        phi = problems._angle(0.0, 1.0)
         assert phi == pytest.approx(3 * math.pi / 2)
         assert math.sin(2 * phi / 3) == pytest.approx(0.0, abs=1e-15)
 
-    def test_origin_rejected(self):
-        with pytest.raises(ValueError):
-            clockwise_angle(0.0, 0.0)
+    def test_origin_gives_zero(self):
+        # r^(2/3) vanishes there, so any finite angle gives s = 0
+        assert problems._angle(0.0, 0.0) == 0.0
 
 
 class TestExample1:

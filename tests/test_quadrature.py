@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from egadapt import DomainShape, build_initial, cell_rule, edge_rule, gauss_1d, map_to_edge
+from egadapt import DomainShape, build_initial, cell_rule, edge_rule, gauss_1d
+
+from reference import edges
 
 
 def test_midpoint_rule():
@@ -45,18 +47,17 @@ def test_cell_rule_x2y2():
 def test_edge_rule_mapping():
     mesh = build_initial(DomainShape.UNIT_SQUARE, 0.25)
     rule = edge_rule(1)
-    # a boundary edge on x = 0 of length 1/4
-    edge = next(e for e in mesh.boundary_edges()
-                if e.endpoints[0].x == 0.0 and e.endpoints[1].x == 0.0)
-    pts, w = map_to_edge(rule, edge)
+    # the four boundary edges on x = 0, each of length 1/4
+    left = [e for e in edges(mesh, interior=False) if e.normal[0] == -1.0]
+    assert len(left) == 4
+    pts, w = left[0].points(rule.points), rule.weights * left[0].length
     assert np.sum(w) == pytest.approx(0.25, abs=1e-15)
     assert np.all(pts[:, 0] == 0.0)
     # integrate y^3 over the unit-length x=0 edge by summing the four pieces
     total = 0.0
-    for e in mesh.boundary_edges():
-        if e.endpoints[0].x == 0.0 and e.endpoints[1].x == 0.0:
-            p, ww = map_to_edge(rule, e)
-            total += np.sum(ww * p[:, 1] ** 3)
+    for e in left:
+        p, ww = e.points(rule.points), rule.weights * e.length
+        total += np.sum(ww * p[:, 1] ** 3)
     assert total == pytest.approx(0.25, abs=1e-14)
 
 

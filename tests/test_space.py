@@ -4,10 +4,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from egadapt import (DiscreteField, DomainShape, EGSpace, MeshError,
                      broken_h1_error, build_initial, edge_rule, interpolate,
-                     map_to_edge, transfer)
+                     transfer)
 
 from conftest import random_adaptive_mesh
-from reference import jump_average
+from reference import edges, evaluate, jump_average, locate, value
 
 
 class TestDofCounts:
@@ -41,7 +41,7 @@ class TestEvaluate:
         coeffs = np.zeros(s.n_dofs)
         coeffs[s.n_cg:] = 1.0
         f = DiscreteField(s, coeffs)
-        vals, grads, _ = f.evaluate(m.active_ids[0], np.array([[0.3, 0.4]]))
+        vals, grads, _ = evaluate(f, m.active_ids[0], np.array([[0.3, 0.4]]))
         assert vals[0] == pytest.approx(1.0)
         assert grads[0] == pytest.approx([0.0, 0.0])
 
@@ -49,8 +49,8 @@ class TestEvaluate:
         m = build_initial(DomainShape.UNIT_SQUARE, 1.0)
         s = EGSpace(m, 1)
         f = interpolate(s, lambda x, y: x + y)
-        vals, grads, hess = f.evaluate(m.active_ids[0],
-                                       np.array([[0.2, 0.8], [0.6, 0.1]]))
+        vals, grads, hess = evaluate(f, m.active_ids[0],
+                                     np.array([[0.2, 0.8], [0.6, 0.1]]))
         assert vals == pytest.approx([1.0, 0.7])
         assert np.allclose(grads, 1.0)
         assert np.allclose(hess, 0.0, atol=1e-14)
@@ -59,7 +59,7 @@ class TestEvaluate:
         m = build_initial(DomainShape.UNIT_SQUARE, 1.0)
         s = EGSpace(m, 2)
         f = interpolate(s, lambda x, y: x ** 2)
-        _, _, hess = f.evaluate(m.active_ids[0], np.array([[0.37, 0.93]]))
+        _, _, hess = evaluate(f, m.active_ids[0], np.array([[0.37, 0.93]]))
         assert hess[0, 0, 0] == pytest.approx(2.0, abs=1e-12)
         assert abs(hess[0, 1, 1]) < 1e-12
 
@@ -69,7 +69,7 @@ class TestEvaluate:
         s = EGSpace(r, 1)
         f = DiscreteField(s, np.zeros(s.n_dofs))
         with pytest.raises(MeshError):
-            f.evaluate(m.active_ids[0], np.array([[0.5, 0.5]]))
+            evaluate(f, m.active_ids[0], np.array([[0.5, 0.5]]))
 
 
 class TestJumpAverage:
@@ -78,16 +78,16 @@ class TestJumpAverage:
         s = EGSpace(m, 1)
         f = interpolate(s, lambda x, y: np.sin(x) * y)
         t = np.linspace(0.1, 0.9, 4)
-        for e in m.interior_edges():
+        for e in edges(m, interior=True):
             j, _ = jump_average(f, e, t)
             assert np.max(np.abs(j)) < 1e-12
 
     def test_constant_offset_jump(self):
         m = build_initial(DomainShape.L_SHAPE, 1.0)
         s = EGSpace(m, 1)
-        e = m.interior_edges()[0]
+        e = edges(m, interior=True)[0]
         coeffs = np.zeros(s.n_dofs)
-        coeffs[s.const_dof(e.minus_cell)] = 1.0
+        coeffs[s.n_cg + m.active_rows(e.minus_cell)] = 1.0
         f = DiscreteField(s, coeffs)
         j, a = jump_average(f, e, np.array([0.5]))
         assert j[0] == pytest.approx(1.0)
@@ -99,7 +99,7 @@ class TestJumpAverage:
         coeffs = np.zeros(s.n_dofs)
         coeffs[s.n_cg:] = 3.0
         f = DiscreteField(s, coeffs)
-        e = m.boundary_edges()[0]
+        e = edges(m, interior=False)[0]
         j, a = jump_average(f, e, np.array([0.25, 0.75]))
         assert np.allclose(j, 3.0)
         assert np.allclose(a, 3.0)
@@ -117,11 +117,10 @@ class TestInterpolate:
         s = EGSpace(m, 1)
         f = interpolate(s, lambda x, y: x + y)
         rng = np.random.default_rng(0)
-        for cid in m.active_ids:
+        for cid, x0, y0, side in zip(m.active_ids, m.x0, m.y0, m.side):
             pts = rng.uniform(0, 1, size=(3, 2))
-            c = m.cell(cid)
-            vals, _, _ = f.evaluate(cid, pts)
-            phys = np.array([c.x0, c.y0]) + c.side * pts
+            vals, _, _ = evaluate(f, cid, pts)
+            phys = np.array([x0, y0]) + side * pts
             assert vals == pytest.approx(phys.sum(axis=1), abs=1e-13)
 
     def test_nodal_property_singular_function(self):
@@ -130,22 +129,22 @@ class TestInterpolate:
         m = build_initial(DomainShape.L_SHAPE, 0.5)
         s = EGSpace(m, 1)
         f = interpolate(s, lambda x, y: p(x, y, 0.5))
-        assert f.value(-0.5, -0.5) == pytest.approx(float(p(-0.5, -0.5, 0.5)),
-                                                    abs=1e-13)
+        assert value(f, -0.5, -0.5) == pytest.approx(
+            float(p(-0.5, -0.5, 0.5)), abs=1e-13)
 
 
 class TestConstraints:
     def test_hanging_vertex_weights_q1(self, lshape_hanging_space):
         s = lshape_hanging_space
-        assert len(s.constraints) == 2
-        for terms in s.constraints.values():
-            assert sorted(w for _, w in terms) == pytest.approx([0.5, 0.5])
+        assert len(s.slaves) == 2
+        for row in s.constraint_matrix[s.slaves]:
+            assert sorted(row.data) == pytest.approx([0.5, 0.5])
 
     def test_q2_trace_weights(self):
         m = build_initial(DomainShape.L_SHAPE, 1.0)
         m = m.refine([m.active_ids[0]])
         s = EGSpace(m, 2)
-        weight_sets = [sorted(w for _, w in t) for t in s.constraints.values()]
+        weight_sets = [sorted(r.data) for r in s.constraint_matrix[s.slaves]]
         assert weight_sets
         for ws in weight_sets:
             assert ws == pytest.approx([-0.125, 0.375, 0.75])
@@ -159,7 +158,7 @@ class TestConstraints:
         coeffs[s.n_cg:] = 0.0              # continuous part only
         f = DiscreteField(s, s.constraint_matrix @ coeffs)
         t = np.linspace(0.05, 0.95, 5)
-        for e in m.interior_edges():
+        for e in edges(m, interior=True):
             j, _ = jump_average(f, e, t)
             assert np.max(np.abs(j)) < 1e-12
 
@@ -192,16 +191,15 @@ class TestTransfer:
         m = m.refine([m.active_ids[0]])            # 6 active cells
         s = EGSpace(m, 1)
         coeffs = np.zeros(s.n_dofs)
-        for i, cid in enumerate(m.active_ids):
-            coeffs[s.const_dof(cid)] = float(i + 1)
+        coeffs[s.n_cg:] = np.arange(1.0, m.n_active + 1)
         f = DiscreteField(s, coeffs)
-        kids = [cid for cid in m.active_ids if m.cell(cid).parent is not None]
+        kids = m.active_ids[m.parent_ids(m.active_ids)[0] >= 0]
         c = m.coarsen(kids)                        # back to 3 cells
         s2 = EGSpace(c, 1)
         vals = transfer(f, s2).cell_values()
         # oracle: the constant of the donor cell containing each target point
-        expected = [[coeffs[s.const_dof(m.locate(x, y))] for x, y in pts]
-                    for pts in s2.tables.X]
+        expected = [[coeffs[s.n_cg + m.active_rows(locate(m, x, y))]
+                     for x, y in pts] for pts in s2.tables.X]
         assert np.array_equal(vals, expected)
         assert len(np.unique(vals[0])) == 4       # cell 0 spans four donors
 
@@ -217,26 +215,26 @@ class TestTransfer:
         tr = transfer(f, s2)
         vals = tr.cell_values()
         w = s2.tables.w
-        for row, cid in enumerate(r.active_ids):
+        for row in range(r.n_active):
             mean = np.sum(w * vals[row])
-            donor = m.locate(*r.cell(cid).center)
-            assert mean == pytest.approx(coeffs[s.const_dof(donor)], abs=1e-13)
+            donor = locate(m, r.x0[row] + 0.5 * r.side[row],
+                           r.y0[row] + 0.5 * r.side[row])
+            assert mean == pytest.approx(
+                coeffs[s.n_cg + m.active_rows(donor)], abs=1e-13)
 
     def test_point_outside_domain(self):
         m = build_initial(DomainShape.L_SHAPE, 1.0)
         s = EGSpace(m, 1)
         f = DiscreteField(s, np.zeros(s.n_dofs))
-        tr = transfer(f, s)
         with pytest.raises(ValueError):
-            tr.field.value(0.7, 0.7)
+            value(f, 0.7, 0.7)
 
 
 def _coarsen_quads(mesh, rng):
     """Coarsen a random subset of the complete active sibling quadruples."""
     kids = {}
-    for cid in mesh.active_ids:
-        parent = mesh.cell(cid).parent
-        if parent is not None:
+    for cid, parent in zip(mesh.active_ids, mesh.parent_ids(mesh.active_ids)[0]):
+        if parent >= 0:
             kids.setdefault(parent, []).append(cid)
     quads = [q for q in kids.values() if len(q) == 4 and rng.random() < 0.7]
     return mesh.coarsen([cid for q in quads for cid in q])
@@ -249,7 +247,7 @@ def _refine_some(mesh, rng):
 
 
 class TestBatchedTransfer:
-    """``cell_values`` against the donor's pointwise ``value`` oracle."""
+    """``cell_values`` against the donor's pointwise values."""
 
     @settings(max_examples=16, deadline=None, derandomize=True)
     @given(shape=st.sampled_from([DomainShape.UNIT_SQUARE, DomainShape.L_SHAPE]),
@@ -274,7 +272,7 @@ class TestBatchedTransfer:
         f = DiscreteField(s_donor, s_donor.constraint_matrix @ coeffs)
         vals = transfer(f, s_target).cell_values()
         X = s_target.tables.X
-        oracle = np.array([f.value(x, y) for x, y in X.reshape(-1, 2)]
+        oracle = np.array([value(f, x, y) for x, y in X.reshape(-1, 2)]
                           ).reshape(vals.shape)
         assert np.max(np.abs(vals - oracle)) <= 1e-14
 
@@ -308,7 +306,7 @@ class TestBatchedEvaluate:
         rng = np.random.default_rng(k)
         f = DiscreteField(s, s.constraint_matrix @ rng.standard_normal(s.n_dofs))
         pts = s.tables.rule.points
-        want = [np.array(a) for a in zip(*(f.evaluate(cid, pts)
+        want = [np.array(a) for a in zip(*(evaluate(f, cid, pts)
                                            for cid in m.active_ids))]
         for deriv in (0, 1, 2):
             got = f.cell_values(deriv)
@@ -386,8 +384,8 @@ class TestTraceLemma:
         f = DiscreteField(space, coeffs)
         rule = edge_rule(1)
         jump_sq = 0.0
-        for e in mesh.edges:
-            _, w = map_to_edge(rule, e)
+        for e in edges(mesh):
+            w = rule.weights * e.length
             j, _ = jump_average(f, e, rule.points)
             jump_sq += np.sum(w * j ** 2)
         fast, _, _ = edge_trace_quantities(space, coeffs)
