@@ -11,11 +11,10 @@ from .mesh import (ConfigError, DomainShape, EdgeKind, Mesh, MeshError,
                    all_dirichlet, build_initial)
 from .quadrature import QuadratureRule, cell_rule, edge_rule, gauss_1d
 from .space import (DiscreteField, EGSpace, TransferredField, broken_h1_error,
-                    interpolate, transfer)
+                    interpolate)
 from .assembly import (CondensedSolver, PenaltySpec, SolverError,
-                       apply_constraints_and_solve, assemble_A_theta,
-                       assemble_mass, assemble_rhs, assemble_stiffness,
-                       galerkin_residual)
+                       assemble_A_theta, assemble_mass, assemble_rhs,
+                       assemble_stiffness, galerkin_residual)
 from .estimator import CellIndicators, StepReport, compute_indicators, effectivity
 from .adapt import AdaptParams, AdaptState, RunTracker, adapt_step, coarsen_mark, dorfler_mark
 from .problems import ProblemSpec, by_name, example1, example2, smoke_linear

@@ -140,7 +140,7 @@ def _space_and_prev(mesh, field, k):
     if mesh is field.space.mesh and field.space.k == k:
         return field.space, field.cell_values(0)
     sp = space_mod.EGSpace(mesh, k)
-    return sp, space_mod.transfer(field, sp).cell_values()
+    return sp, space_mod.TransferredField(field, sp).cell_values()
 
 
 def _factor(sp, problem, penalty, dt, key):

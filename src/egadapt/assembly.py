@@ -18,9 +18,11 @@ plus face node at a minus face node's point is that global dof.  There a
 conforming face's continuous part has no jump, nor with K = I an average
 flux, and those entries are exact zeros, never emitted.
 
-Systems are solved with the hanging constraints condensed, by a SuperLU
-factor whose column order is the quadtree's nested dissection
-(:meth:`EGSpace.factor_order`) instead of a graph heuristic.
+A system is solved for its free dofs, those that are neither hanging
+slaves nor the pinned constant, mapped to the full vector by their
+columns of the space's constraint matrix.  The SuperLU factor takes them
+in the quadtree's nested-dissection order (:meth:`EGSpace.factor_order`)
+instead of a graph heuristic.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from scipy.sparse.linalg import splu
 from .mesh import EAST, KINDS, NORMALS, NORTH, SUB_FULL, EdgeKind
 from .problems import at_points
 from .quadrature import edge_rule
-from .space import DiscreteField, face_points, tabulate
+from .space import face_points, tabulate
 
 
 class SolverError(RuntimeError):
@@ -310,24 +312,25 @@ def assemble_rhs(space, problem, t_n, penalty=PenaltySpec(), prev=None, dt=None,
 # constrained solve
 
 class CondensedSolver:
-    """LU factorization of a system with hanging constraints condensed.
+    """LU factorization of a system restricted to its free dofs.
 
-    Slave rows/columns are folded into their masters through the space's
-    constraint matrix; slave diagonal entries are set to one so the
-    condensed matrix stays regular, and slave values are reconstructed
-    from the masters after the solve.
+    The unknowns are the free dofs: every dof that is neither a hanging
+    slave nor the pinned constant below.  The map from them to the full
+    coefficient vector is their columns of the space's constraint matrix,
+    so ``matrix_c = C.T @ matrix @ C`` and a solve rebuilds every slave
+    from its masters.
 
     The continuous part and the cellwise constants overlap in the global
     constants (the sum defining the space is not direct), which makes the
     raw matrices rank-deficient by one.  The solver therefore always fixes
     the first cell's constant to zero, selecting the unique coefficient
     representative of each solution; the discrete space, and therefore the
-    computed function, is unchanged.  That constant is never a hanging
-    slave, so the condensation map always exists.
+    computed function, is unchanged.  That constant is no slave and no
+    slave's master, so its row of ``C`` is empty and it solves to 0.
 
-    The condensed unknowns are the dofs in the space's nested-dissection
-    order: column ``i`` of ``C`` and row and column ``i`` of ``matrix_c``
-    belong to dof ``order[i]``.  SuperLU keeps that column order
+    The free dofs are taken in the space's nested-dissection order:
+    column ``i`` of ``C`` and row and column ``i`` of ``matrix_c`` belong
+    to dof ``order[i]``.  SuperLU keeps that column order
     (``permc_spec="NATURAL"``) and pivots rows at its default threshold.
     A solve refines iteratively and raises :class:`SolverError` unless
     the residual comes within ``residual_tol`` of the load (a NaN or
@@ -343,23 +346,12 @@ class CondensedSolver:
     def __init__(self, matrix, space, key=None):
         self.space = space
         self.key = key
-        pin = space.n_cg
-        # the space's constraint map with the pinned row emptied, its
-        # columns (the unknowns) in the factor's elimination order
-        self.order = space.factor_order()
-        rank = np.empty_like(self.order)
-        rank[self.order] = np.arange(space.n_dofs)
-        C0 = space.constraint_matrix
-        data = C0.data.copy()
-        data[C0.indptr[pin]:C0.indptr[pin + 1]] = 0.0
-        C = sparse.csr_matrix((data, rank[C0.indices], C0.indptr.copy()),
-                              shape=C0.shape)
-        C.eliminate_zeros()     # in place, so on arrays of its own
-        diag = np.zeros(space.n_dofs)
-        diag[space.slaves] = diag[pin] = 1.0
-        self.matrix_c = (C.T @ matrix @ C
-                         + sparse.diags(diag[self.order])).tocsc()
-        self.C = C
+        order = space.factor_order()
+        fixed = np.zeros(space.n_dofs, dtype=bool)
+        fixed[space.slaves] = fixed[space.n_cg] = True
+        self.order = order[~fixed[order]]
+        self.C = space.constraint_matrix[:, self.order]
+        self.matrix_c = (self.C.T @ matrix @ self.C).tocsc()
         try:
             self.lu = splu(self.matrix_c, permc_spec="NATURAL")
         except RuntimeError as exc:
@@ -386,11 +378,6 @@ class CondensedSolver:
         raise SolverError(
             f"solver residual {res:.3e} misses tolerance "
             f"{self.residual_tol:.1e} (|rhs| = {scale:.3e})")
-
-
-def apply_constraints_and_solve(matrix, rhs, space):
-    """Condense hanging constraints, solve by sparse LU, rebuild slaves."""
-    return DiscreteField(space, CondensedSolver(matrix, space).solve(rhs))
 
 
 def galerkin_residual(matrix, rhs, field):

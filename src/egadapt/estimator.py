@@ -45,7 +45,6 @@ class CellIndicators:
     eta4_sq: np.ndarray
     eta5_sq: np.ndarray
     eta_T: np.ndarray
-    alpha: float
 
     @property
     def total(self):
@@ -177,4 +176,4 @@ def compute_indicators(space, field, prev_vals, problem, t_n, dt, alpha,
     eta_T = np.sqrt(eta1 ** 2 + 0.5 * (alpha * eta2_sq + eta4_sq)
                     + eta3_sq + alpha * eta5_sq)
     return CellIndicators(space.mesh.active_ids, eta1, eta2_sq, eta3_sq,
-                          eta4_sq, eta5_sq, eta_T, alpha)
+                          eta4_sq, eta5_sq, eta_T)

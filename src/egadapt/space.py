@@ -401,12 +401,6 @@ class TransferredField:
         return out
 
 
-def transfer(field, target):
-    """Evaluator for ``field`` on the EG space ``target``, whose mesh is
-    derived from the field's by refine/coarsen steps."""
-    return TransferredField(field, target)
-
-
 # ----------------------------------------------------------------------
 
 def broken_h1_error(field, exact, exact_grad):

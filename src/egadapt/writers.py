@@ -8,13 +8,17 @@ from .mesh import first_encounter
 
 #: cell corners (a, b) in counterclockwise order SW, SE, NE, NW
 _CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
+#: width and height of an SVG drawing, in user units
+SVG_SIZE = 640
+#: title lines of the VTK mesh and field files
+MESH_TITLE, FIELD_TITLE = "quadtree mesh", "EG field"
 
 
-def mesh_svg(mesh, path, size=640):
+def mesh_svg(mesh, path):
     """Write the active-cell outlines as an SVG drawing, one rect per cell."""
     xmin, ymin, xmax, ymax = mesh.bbox
     span = max(xmax - xmin, ymax - ymin)
-    scale = size / span
+    scale = SVG_SIZE / span
     w = mesh.side * scale
     # flip y so the drawing matches mathematical orientation
     rects = np.column_stack([(mesh.x0 - xmin) * scale,
@@ -22,8 +26,8 @@ def mesh_svg(mesh, path, size=640):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join([
             f'<svg xmlns="http://www.w3.org/2000/svg" '
-            f'width="{size}" height="{size}" '
-            f'viewBox="0 0 {size} {size}">\n',
+            f'width="{SVG_SIZE}" height="{SVG_SIZE}" '
+            f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">\n',
             _lines('<rect x="%.3f" y="%.3f" width="%.3f" height="%.3f" '
                    'fill="none" stroke="black" stroke-width="0.5"/>\n',
                    rects, 4),
@@ -60,7 +64,7 @@ def _vtk_header(title):
     return f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
 
 
-def mesh_vtk(mesh, path, title="quadtree mesh"):
+def mesh_vtk(mesh, path):
     """ASCII legacy-VTK unstructured grid of the active cells (quad type 9).
 
     Returns the grid, which :func:`field_vtk` can take for a field on
@@ -68,12 +72,12 @@ def mesh_vtk(mesh, path, title="quadtree mesh"):
     """
     grid = _vtk_grid(mesh)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_vtk_header(title))
+        fh.write(_vtk_header(MESH_TITLE))
         fh.write(grid[0])
     return grid
 
 
-def field_vtk(field, path, title="EG field", grid=None):
+def field_vtk(field, path, grid=None):
     """Legacy-VTK dump: continuous part at cell corners, constants per cell.
 
     ``grid`` is what :func:`mesh_vtk` returned for the field's mesh, or
@@ -86,7 +90,7 @@ def field_vtk(field, path, title="EG field", grid=None):
     cg = field.coeffs[space.cell_dofs[row, np.take(local, corner)]]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join([
-            _vtk_header(title), text,
+            _vtk_header(FIELD_TITLE), text,
             f"POINT_DATA {len(row)}\n"
             "SCALARS cg_part double\nLOOKUP_TABLE default\n",
             _lines("%.12g\n", cg),

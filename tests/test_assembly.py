@@ -8,11 +8,10 @@ from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from egadapt import (CondensedSolver, DiscreteField, DomainShape, EdgeKind,
-                     EGSpace, PenaltySpec, SolverError,
-                     apply_constraints_and_solve, assemble_A_theta,
-                     assemble_mass, assemble_rhs, assemble_stiffness,
-                     broken_h1_error, build_initial, example1,
-                     galerkin_residual, interpolate, smoke_linear, transfer)
+                     EGSpace, PenaltySpec, SolverError, TransferredField,
+                     assemble_A_theta, assemble_mass, assemble_rhs,
+                     assemble_stiffness, broken_h1_error, build_initial,
+                     example1, galerkin_residual, interpolate, smoke_linear)
 from egadapt.assembly import _constant_K_data, edge_groups
 from egadapt.mesh import SUB_FULL
 from egadapt.space import _hanging_table
@@ -156,7 +155,7 @@ class TestEdgeTerms:
             pen = PenaltySpec(2.0, theta)
             A = assemble_A_theta(s, K, pen)
             b = assemble_rhs(s, P, 0.0, pen)
-            sol = apply_constraints_and_solve(A.tocsr(), b, s)
+            sol = DiscreteField(s, CondensedSolver(A.tocsr(), s).solve(b))
             err = broken_h1_error(sol, lambda x, y: x + y,
                                   lambda x, y: (np.ones_like(x), np.ones_like(x)))
             assert err <= 1e-10, f"theta={theta}: err={err:.2e}"
@@ -414,6 +413,19 @@ class TestConstraintMatrix:
         assert np.array_equal(solver.matrix_c.toarray(),
                               ref.toarray()[np.ix_(p, p)])
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_unknowns_are_the_free_dofs(self, k):
+        s = EGSpace(random_adaptive_mesh(seed=4), k)
+        assert len(s.slaves)
+        solver = CondensedSolver(euler_matrix(s), s)
+        assert solver.matrix_c.shape[0] == s.n_dofs - len(s.slaves) - 1
+        order = s.factor_order()
+        fixed = np.isin(order, np.append(s.slaves, s.n_cg))
+        assert np.array_equal(solver.order, order[~fixed])
+        x = solver.solve(np.random.default_rng(k).standard_normal(s.n_dofs))
+        assert x[s.n_cg] == 0.0
+        assert np.array_equal(x[s.slaves], (s.constraint_matrix @ x)[s.slaves])
+
     def test_factoring_leaves_the_space_intact(self):
         s = EGSpace(random_adaptive_mesh(seed=4), 1)
         S = euler_matrix(s)
@@ -438,13 +450,10 @@ def euler_matrix(space, theta=0):
 
 def oracle_condensed(space, S):
     """Constraint map and condensed matrix of ``S`` with the first cell's
-    constant pinned, in dof numbering, by the per-dof loop."""
-    pins = [space.n_cg]
-    C = reference_constraint_matrix(space, pins)
-    diag = np.zeros(space.n_dofs)
-    diag[space.slaves] = 1.0
-    diag[pins] = 1.0
-    return C, (C.T @ S @ C + sparse.diags(diag)).tocsc()
+    constant pinned, in dof numbering, by the per-dof loop.  The columns
+    of the slaves and of the pin are empty."""
+    C = reference_constraint_matrix(space, [space.n_cg])
+    return C, (C.T @ S @ C).tocsc()
 
 
 def _morton(i, j):
@@ -488,8 +497,8 @@ class TestFactorOrder:
         s = EGSpace(_random_history(shape, ops, seed), k)
         S = euler_matrix(s)
         solver = CondensedSolver(S, s)
+        assert np.array_equal(np.sort(s.factor_order()), np.arange(s.n_dofs))
         p = solver.order
-        assert np.array_equal(np.sort(p), np.arange(s.n_dofs))
         first, last = (a[p] for a in subtree_oracle(s))
         # subtree postorder: by last index, the smaller subtree first on a tie
         step, grow = np.diff(last), np.diff(last - first)
@@ -509,8 +518,10 @@ class TestSolve:
         S = euler_matrix(s, theta)
         b = np.random.default_rng(k).standard_normal(s.n_dofs)
         C, ref = oracle_condensed(s, S)
+        free = np.flatnonzero(C.getnnz(axis=0))    # the unknowns
+        C, ref = C[:, free], ref[free][:, free]
         expect = C @ spsolve(ref, C.T @ b)
-        got = apply_constraints_and_solve(S, b, s).coeffs
+        got = CondensedSolver(S, s).solve(b)
         assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
 
     def test_non_finite_load_raises(self):
@@ -519,17 +530,17 @@ class TestSolve:
         b = np.ones(s.n_dofs)
         b[3] = np.nan
         with pytest.raises(SolverError):
-            apply_constraints_and_solve(S, b, s)
+            CondensedSolver(S, s).solve(b)
 
     def test_identity_system_with_pin(self):
         m = build_initial(DomainShape.UNIT_SQUARE, 0.5)
         s = EGSpace(m, 1)
         rng = np.random.default_rng(2)
         b = rng.standard_normal(s.n_dofs)
-        f = apply_constraints_and_solve(sparse.eye(s.n_dofs, format="csr"), b, s)
+        x = CondensedSolver(sparse.eye(s.n_dofs, format="csr"), s).solve(b)
         keep = np.ones(s.n_dofs, dtype=bool)
         keep[s.n_cg] = False       # the pinned representative constant
-        assert np.allclose(f.coeffs[keep], b[keep], atol=1e-13)
+        assert np.allclose(x[keep], b[keep], atol=1e-13)
 
     def test_steady_laplace_reproduces_linear(self):
         prob = smoke_linear()
@@ -538,7 +549,7 @@ class TestSolve:
         pen = PenaltySpec(1.0, 0)
         A = assemble_A_theta(s, None, pen)
         b = assemble_rhs(s, prob, 0.0, pen)
-        f = apply_constraints_and_solve(A.tocsr(), b, s)
+        f = DiscreteField(s, CondensedSolver(A.tocsr(), s).solve(b))
         err = broken_h1_error(f, lambda x, y: x + y,
                               lambda x, y: (np.ones_like(x), np.ones_like(x)))
         assert err <= 1e-10
@@ -552,15 +563,15 @@ class TestSolve:
         x = rng.standard_normal(s.n_dofs)
         x[s.n_cg] = 0.0        # the representative the solver pins
         b = S @ x
-        f = apply_constraints_and_solve(S, b, s)
-        assert np.max(np.abs(f.coeffs - x)) <= 1e-11
+        got = CondensedSolver(S, s).solve(b)
+        assert np.max(np.abs(got - x)) <= 1e-11
 
     def test_singular_matrix_raises(self):
         m = build_initial(DomainShape.UNIT_SQUARE, 1.0)
         s = EGSpace(m, 1)
         bad = sparse.csr_matrix((s.n_dofs, s.n_dofs))
         with pytest.raises(SolverError):
-            apply_constraints_and_solve(bad, np.ones(s.n_dofs), s)
+            CondensedSolver(bad, s).solve(np.ones(s.n_dofs))
 
     def test_hanging_constraints_condensed(self, lshape_hanging_space):
         s = lshape_hanging_space
@@ -574,7 +585,7 @@ class TestSolve:
             g_N = staticmethod(lambda x, y, t: np.zeros_like(x))
             K = None
         b = assemble_rhs(s, P, 0.0, pen)
-        f = apply_constraints_and_solve(S, b, s)
+        f = DiscreteField(s, CondensedSolver(S, s).solve(b))
         C = s.constraint_matrix
         for slave in s.slaves:
             row = C[slave]
@@ -642,7 +653,7 @@ class TestMassBalance:
         donor = interpolate(
             EGSpace(build_initial(prob.shape, 0.25, prob.partition), k),
             lambda x, y: prob.exact.p(x, y, 0.3) + 0.2)
-        prev = transfer(donor, sp).cell_values()
+        prev = TransferredField(donor, sp).cell_values()
         dt, t_n, pen = 0.01, 0.31, PenaltySpec(1.5, theta)
         matrix = assemble_mass(sp) / dt + assemble_A_theta(sp, K, pen)
         b = assemble_rhs(sp, prob, t_n, pen, prev=prev, dt=dt)

@@ -1,15 +1,18 @@
 """Smoke tests of the demos that drive the public mesh, assembly and solve
-API, of the names every demo imports, and of the benchmark tracer's hooks
-into the library."""
+API, of the names every demo imports, of the benchmark tracer's hooks
+into the library, and of the benchmark workloads' per-step fingerprints."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from egadapt import RunConfig, by_name, run_timeloop
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -56,3 +59,21 @@ def test_benchmark_tracer_installs():
                  "from tracing import Tracer; from egadapt import problems; "
                  'Tracer("t").install(problems.example1())'], ROOT)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_fingerprints_hold(tmp_path, monkeypatch):
+    # every benchmark workload, configured as its probe configures it, must
+    # reproduce the stored per-step fingerprint the benchmark checks; a
+    # rounding change that flips a marking tie shows here
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from probe import COMMON, WORKLOADS, _fingerprint
+    from run import compare_fingerprint
+    failed = {}
+    for name, workload in WORKLOADS.items():
+        cfg = RunConfig(output_dir=str(tmp_path / name), **COMMON,
+                        **workload["config"])
+        reports = run_timeloop(cfg, by_name(cfg.problem))
+        with open(ROOT / "perfbench" / "reference" / f"{name}.json") as fh:
+            reference = json.load(fh)["steps"]
+        failed[name] = compare_fingerprint(reference, _fingerprint(reports))
+    assert failed == dict.fromkeys(WORKLOADS, 0)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from egadapt import (DiscreteField, DomainShape, EGSpace, MeshError,
-                     broken_h1_error, build_initial, edge_rule, interpolate,
-                     transfer)
+                     TransferredField, broken_h1_error, build_initial,
+                     edge_rule, interpolate)
 
 from conftest import random_adaptive_mesh
 from reference import edges, evaluate, jump_average, locate, value
@@ -169,7 +169,7 @@ class TestTransfer:
         s = EGSpace(m, 1)
         rng = np.random.default_rng(1)
         f = DiscreteField(s, rng.standard_normal(s.n_dofs))
-        tr = transfer(f, s)
+        tr = TransferredField(f, s)
         vals = tr.cell_values()
         assert np.allclose(vals, f.cell_values(0), atol=1e-14)
 
@@ -181,7 +181,7 @@ class TestTransfer:
         f = DiscreteField(s, coeffs)
         r = m.refine([m.active_ids[0]])
         s2 = EGSpace(r, 1)
-        tr = transfer(f, s2)
+        tr = TransferredField(f, s2)
         assert np.allclose(tr.cell_values(), 3.0, atol=1e-14)
 
     def test_coarsening_uses_donor_cells(self):
@@ -196,7 +196,7 @@ class TestTransfer:
         kids = m.active_ids[m.parent_ids(m.active_ids)[0] >= 0]
         c = m.coarsen(kids)                        # back to 3 cells
         s2 = EGSpace(c, 1)
-        vals = transfer(f, s2).cell_values()
+        vals = TransferredField(f, s2).cell_values()
         # oracle: the constant of the donor cell containing each target point
         expected = [[coeffs[s.n_cg + m.active_rows(locate(m, x, y))]
                      for x, y in pts] for pts in s2.tables.X]
@@ -212,7 +212,7 @@ class TestTransfer:
         f = DiscreteField(s, coeffs)
         r = m.refine(list(m.active_ids)[:4])
         s2 = EGSpace(r, 1)
-        tr = transfer(f, s2)
+        tr = TransferredField(f, s2)
         vals = tr.cell_values()
         w = s2.tables.w
         for row in range(r.n_active):
@@ -270,7 +270,7 @@ class TestBatchedTransfer:
         s_donor, s_target = EGSpace(donor, k), EGSpace(target, k)
         coeffs = rng.uniform(-1.0, 1.0, s_donor.n_dofs)
         f = DiscreteField(s_donor, s_donor.constraint_matrix @ coeffs)
-        vals = transfer(f, s_target).cell_values()
+        vals = TransferredField(f, s_target).cell_values()
         X = s_target.tables.X
         oracle = np.array([value(f, x, y) for x, y in X.reshape(-1, 2)]
                           ).reshape(vals.shape)
@@ -284,7 +284,8 @@ class TestBatchedTransfer:
                 return sum(c[a, b] * x ** a * y ** b
                            for a in range(k + 1) for b in range(k + 1))
 
-            exact = transfer(interpolate(s_donor, poly), s_target).cell_values()
+            exact = TransferredField(interpolate(s_donor, poly),
+                                     s_target).cell_values()
             assert np.allclose(exact,
                                interpolate(s_target, poly).cell_values(0),
                                rtol=0.0, atol=1e-13)
@@ -294,7 +295,7 @@ class TestBatchedTransfer:
         f = DiscreteField(s, np.zeros(s.n_dofs))
         other = EGSpace(build_initial(DomainShape.UNIT_SQUARE, 0.25), 1)
         with pytest.raises(MeshError):
-            transfer(f, other).cell_values()
+            TransferredField(f, other).cell_values()
 
 
 class TestBatchedEvaluate:
