@@ -16,7 +16,7 @@ from .assembly import (CondensedSolver, PenaltySpec, SolverError,
                        assemble_A_theta, assemble_mass, assemble_rhs,
                        assemble_stiffness, galerkin_residual)
 from .estimator import CellIndicators, StepReport, compute_indicators, effectivity
-from .adapt import AdaptParams, AdaptState, RunTracker, adapt_step, coarsen_mark, dorfler_mark
+from .adapt import AdaptParams, AdaptState, adapt_step, coarsen_mark, dorfler_mark
 from .problems import ProblemSpec, by_name, example1, example2, smoke_linear
 from .driver import (CycleSummary, RunConfig, cli_main, order_dofs,
                      parse_config_file, run_cycles, run_timeloop,

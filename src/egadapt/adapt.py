@@ -1,7 +1,7 @@
 """Per-time-step h-adaptivity: coarsen, then refine-solve to tolerance.
 
-Every time step of every run mode goes through :func:`adapt_step`.  Each
-accepted step proceeds as
+Every time step of every run mode goes through :func:`adapt_step`, which
+knows no run mode.  Each accepted step proceeds as
 
 1. mark cells whose previous-step indicator falls below a fraction of the
    maximum and coarsen them (complete sibling quadruples only),
@@ -10,15 +10,20 @@ accepted step proceeds as
    iteration cap is not hit: bulk-mark (Doerfler), refine, transfer the
    previous solution, re-solve.
 
-Uniform runs are the no-marking case: ``theta_coarse = 0`` and an
-infinite tolerance, so each step is one solve on the initial mesh.
+A run mode is only a marking policy (``RunConfig.adapt_params``):
+uniform is ``tau = inf, theta_coarse = 0`` (one solve per step), pure
+refine is ``tau = 0, theta_coarse = 0, max_iters = 1`` (one
+mark-refine-resolve round per step), and full takes the parameters as
+given.  An :class:`AdaptState` carries the solution ``field`` (its
+space's mesh is ``mesh``), the ``indicators`` and LU factor ``solver`` of
+its last solve, and the running maxima ``eta_linf`` of the summed
+indicator and ``error_linf`` of the broken H1 error.
 
 The system matrix depends only on the mesh, the degree, dt, the penalty
 and K.  A solve on the mesh of the previous solution therefore reuses
-that solution's EG space (no transfer), and the LU factor of the last
-solve is carried in :class:`AdaptState` and reused while the space, dt,
-penalty and K are those it was built with.  The old factor is released
-before any new factorization, so at most one is alive at a time.
+that solution's EG space (no transfer) and, while dt, penalty and K are
+unchanged, the carried LU factor.  The old factor is released before any
+new factorization, so at most one is alive at a time.
 
 The bulk marking selects the smallest set of cells, by descending local
 indicator, whose squared-indicator mass reaches theta_refine times the
@@ -50,8 +55,8 @@ class AdaptParams:
     coarsen_rule: str = "threshold"   # or "fraction" (lowest-fraction variant)
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
+        if not self.tau >= 0:     # 0: no tolerance, refine up to the cap
+            raise ValueError("tau must be nonnegative")
         if not 0.0 <= self.theta_coarse < 1.0:
             raise ValueError("theta_coarse must lie in [0, 1)")
         if not 0.0 < self.theta_refine < 1.0:
@@ -106,48 +111,29 @@ def coarsen_mark(indicators, theta_coarse, rule="threshold"):
 
 @dataclass
 class AdaptState:
-    """Solution, mesh, indicators and LU factor carried across time steps."""
+    """Solution, indicators, LU factor and running maxima carried across
+    time steps."""
 
     field: object
-    mesh: object
     indicators: estimator.CellIndicators | None = None
     solver: assembly.CondensedSolver | None = None
-
-
-class RunTracker:
-    """Running maxima of the summed indicator and the broken H1 error."""
-
-    def __init__(self):
-        self.eta_linf = 0.0
-        self.error_linf = None
-
-    def update(self, eta_sum, error):
-        self.eta_linf = max(self.eta_linf, eta_sum)
-        if error is not None:
-            self.error_linf = (error if self.error_linf is None
-                               else max(self.error_linf, error))
+    eta_linf: float = 0.0
+    error_linf: float | None = None
 
     @property
-    def ei(self):
-        return estimator.effectivity(self.eta_linf, self.error_linf)
+    def mesh(self):
+        return self.field.space.mesh
 
 
-def _space_and_prev(mesh, field, k):
+def _space_and_prev(mesh, field):
     """EG space on ``mesh`` and the previous solution at its cell points.
 
     The previous solution's own space is reused when it lives on ``mesh``.
     """
-    if mesh is field.space.mesh and field.space.k == k:
+    if mesh is field.space.mesh:
         return field.space, field.cell_values(0)
-    sp = space_mod.EGSpace(mesh, k)
+    sp = space_mod.EGSpace(mesh, field.space.k)
     return sp, space_mod.TransferredField(field, sp).cell_values()
-
-
-def _factor(sp, problem, penalty, dt, key):
-    """Factor M / dt + A_theta on a space, assembled in one triplet pass
-    (cell mass and stiffness blocks plus the edge blocks)."""
-    return assembly.CondensedSolver(
-        assembly.assemble_A_theta(sp, problem.K, penalty, dt=dt), sp, key=key)
 
 
 def _solve(sp, solver, prev_vals, problem, penalty, t_n, dt):
@@ -162,20 +148,17 @@ def _solve(sp, solver, prev_vals, problem, penalty, t_n, dt):
         sp, field, prev_vals, problem, t_n, dt, penalty.alpha, data=data)
 
 
-def adapt_step(state, problem, params, penalty, k, n, t_n, dt, tracker,
-               pure_refine=False):
-    """Advance one time step with mesh adaptation.
+def adapt_step(state, problem, params, penalty, n, t_n, dt):
+    """Advance one time step with mesh adaptation under the policy ``params``.
 
-    Returns (new_state, StepReport).  With ``pure_refine`` the step
-    performs exactly one mark-refine-resolve round and skips coarsening
-    and the tolerance test.  The LU factor in ``state.solver`` is taken
-    over (the attribute is cleared) and the new state carries the factor
-    of the last solve.
+    Returns (new_state, StepReport).  The LU factor in ``state.solver`` is
+    taken over (the attribute is cleared) and the new state carries the
+    factor of the last solve.
     """
     solver, state.solver = state.solver, None
     key = (dt, penalty, problem.K)
     mesh = state.mesh
-    if not pure_refine and state.indicators is not None and params.theta_coarse > 0:
+    if state.indicators is not None and params.theta_coarse > 0:
         marks = coarsen_mark(state.indicators, params.theta_coarse,
                              params.coarsen_rule)
         if marks:
@@ -183,22 +166,23 @@ def adapt_step(state, problem, params, penalty, k, n, t_n, dt, tracker,
 
     iters = 0
     while True:
-        sp, prev_vals = _space_and_prev(mesh, state.field, k)
+        sp, prev_vals = _space_and_prev(mesh, state.field)
         if solver is None or solver.space is not sp or solver.key != key:
             solver = None      # free the old factor before building the next
-            solver = _factor(sp, problem, penalty, dt, key)
+            # M / dt + A_theta in one triplet pass (cell and edge blocks)
+            solver = assembly.CondensedSolver(
+                assembly.assemble_A_theta(sp, problem.K, penalty, dt=dt), sp,
+                key=key)
         field, ind = _solve(sp, solver, prev_vals, problem, penalty, t_n, dt)
-        if pure_refine:
-            if iters >= 1:
-                break
-        elif params.tau == math.inf or ind.total < params.tau:
+        if params.tau == math.inf or ind.total < params.tau:
             # an infinite tolerance never refines, even on a NaN indicator
             break
-        elif iters >= params.max_iters:
-            logger.warning(
-                "step %d: indicator %.3e still above tolerance %.3e after "
-                "%d refinements; accepting the current mesh",
-                n, ind.total, params.tau, iters)
+        if iters >= params.max_iters:
+            if params.tau > 0:     # tau = 0 sets no tolerance to miss
+                logger.warning(
+                    "step %d: indicator %.3e still above tolerance %.3e after "
+                    "%d refinements; accepting the current mesh",
+                    n, ind.total, params.tau, iters)
             break
         marks = dorfler_mark(ind, ind.total, params.theta_refine)
         if not marks:
@@ -212,10 +196,12 @@ def adapt_step(state, problem, params, penalty, k, n, t_n, dt, tracker,
             field,
             lambda x, y: problem.exact.p(x, y, t_n),
             lambda x, y: problem.exact.grad(x, y, t_n))
-    tracker.update(ind.sum_T, error)
+    eta_linf = max(state.eta_linf, ind.sum_T)
+    error_linf = max((e for e in (state.error_linf, error) if e is not None),
+                     default=None)
     report = estimator.StepReport(
         n=n, t_n=t_n, dofs=sp.n_dofs, h_min_n=mesh.h_min,
-        eta_total=ind.total, eta_sum=ind.sum_T, eta_linf=tracker.eta_linf,
-        error_h1=error, error_linf=tracker.error_linf, ei=tracker.ei,
-        adapt_iters=iters)
-    return AdaptState(field, mesh, ind, solver), report
+        eta_total=ind.total, eta_sum=ind.sum_T, eta_linf=eta_linf,
+        error_h1=error, error_linf=error_linf,
+        ei=estimator.effectivity(eta_linf, error_linf), adapt_iters=iters)
+    return AdaptState(field, ind, solver, eta_linf, error_linf), report

@@ -2,9 +2,9 @@
 and the command-line entry point.
 
 A run is described by a flat ``RunConfig``.  Every mode advances each
-time step through :func:`egadapt.adapt.adapt_step`; a uniform run is the
-case that marks nothing (no coarsening, infinite tolerance), so its mesh,
-EG space and LU factor are built once and reused for all steps.
+time step through :func:`egadapt.adapt.adapt_step` and is only a marking
+policy; a uniform run marks nothing, so its mesh, EG space and LU factor
+are built once and reused for all steps.
 Convergence studies halve the initial mesh size per cycle and report the
 DoF-based convergence order
 
@@ -22,6 +22,12 @@ from dataclasses import astuple, dataclass, fields as dc_fields, replace
 from . import adapt, estimator, problems, space as space_mod, writers
 from .assembly import PenaltySpec, SolverError
 from .mesh import ConfigError, _root_grid_size, build_initial
+
+#: the adaptive parameters that each run mode fixes; the rest are as given
+_POLICIES = {"uniform": dict(tau=math.inf, theta_coarse=0.0),
+             "adaptive_pure_refine": dict(tau=0.0, theta_coarse=0.0,
+                                          max_iters=1),
+             "adaptive_full": {}}
 
 
 @dataclass
@@ -48,7 +54,7 @@ class RunConfig:
     def validate(self):
         if self.problem not in problems._REGISTRY:
             raise ConfigError(f"unknown problem '{self.problem}'")
-        if self.mode not in ("uniform", "adaptive_pure_refine", "adaptive_full"):
+        if self.mode not in _POLICIES:
             raise ConfigError(f"unknown mode '{self.mode}'")
         if self.k not in (1, 2):
             raise ConfigError(f"k must be 1 or 2, got {self.k}")
@@ -64,21 +70,18 @@ class RunConfig:
                         problems.by_name(self.problem).shape)
         try:
             PenaltySpec(self.alpha, self.theta)
+            if not self.tau > 0:
+                raise ValueError("tau must be positive")
             self.adapt_params()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     def adapt_params(self):
-        """Marking policy of the run.
-
-        The adaptive parameters are checked in every mode; a uniform run
-        then marks nothing: no coarsening and an infinite tolerance.
-        """
+        """Marking policy of the run's mode (see ``_POLICIES``); the given
+        adaptive parameters are checked in every mode."""
         params = adapt.AdaptParams(**{f.name: getattr(self, f.name)
                                       for f in dc_fields(adapt.AdaptParams)})
-        if self.mode == "uniform":
-            return replace(params, tau=math.inf, theta_coarse=0.0)
-        return params
+        return replace(params, **_POLICIES[self.mode])
 
 
 @dataclass
@@ -115,7 +118,8 @@ def order_dofs(errors, dofs, dim=2):
     rates = []
     for j in range(1, len(errors)):
         if errors[j] is None or errors[j - 1] is None \
-                or errors[j] <= 0 or errors[j - 1] <= 0:
+                or errors[j] <= 0 or errors[j - 1] <= 0 \
+                or dofs[j] == dofs[j - 1]:
             rates.append(None)
             continue
         rates.append(dim * (math.log(errors[j]) - math.log(errors[j - 1]))
@@ -178,7 +182,6 @@ def run_timeloop(config, problem=None, cycle=1):
         csv.write(_csv_line(f.name for f in dc_fields(estimator.StepReport)))
         csv.flush()
     reports = []
-    tracker = adapt.RunTracker()
     snap_times = sorted(config.snapshot_times)
 
     def maybe_snapshot(t, mesh_now, fld_now):
@@ -187,14 +190,12 @@ def run_timeloop(config, problem=None, cycle=1):
                 _snapshot(config, cycle, mesh_now, fld_now, ts)
 
     params = config.adapt_params()
-    pure = config.mode == "adaptive_pure_refine"
-    state = adapt.AdaptState(fld, mesh, None)
+    state = adapt.AdaptState(fld)
     try:
         for n in range(1, nsteps + 1):
             t_n = n * config.dt
-            state, rep = adapt.adapt_step(
-                state, problem, params, penalty, config.k, n, t_n,
-                config.dt, tracker, pure_refine=pure)
+            state, rep = adapt.adapt_step(state, problem, params, penalty, n,
+                                          t_n, config.dt)
             reports.append(rep)
             if csv:
                 csv.write(_csv_line(astuple(rep)))

@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import itertools
 import math
@@ -12,7 +11,7 @@ from egadapt import (AdaptParams, AdaptState, CondensedSolver, DiscreteField,
                      build_initial, coarsen_mark, dorfler_mark, interpolate,
                      run_timeloop)
 from egadapt import adapt as adapt_mod
-from egadapt.adapt import RunTracker, adapt_step
+from egadapt.adapt import adapt_step
 from egadapt.problems import example1, smoke_linear
 
 from reference import coarsen_mark_loop, dorfler_mark_loop
@@ -112,15 +111,14 @@ class TestAdaptStep:
     def _state(problem, h0, k=1):
         mesh = build_initial(problem.shape, h0, problem.partition)
         sp = EGSpace(mesh, k)
-        return AdaptState(interpolate(sp, problem.p0), mesh, None)
+        return AdaptState(interpolate(sp, problem.p0))
 
     def test_infinite_tolerance_single_solve(self):
         prob = smoke_linear()
         state = self._state(prob, 0.25)
         params = AdaptParams(tau=np.inf, theta_coarse=0.5, theta_refine=0.4)
-        tracker = RunTracker()
-        state, rep = adapt_step(state, prob, params, PenaltySpec(1.0, 0), 1,
-                                1, 0.02, 0.02, tracker)
+        state, rep = adapt_step(state, prob, params, PenaltySpec(1.0, 0),
+                                1, 0.02, 0.02)
         assert rep.adapt_iters == 0
         assert state.mesh.n_active == 16
 
@@ -129,33 +127,31 @@ class TestAdaptStep:
         state = self._state(prob, 0.5)
         params = AdaptParams(tau=np.inf, theta_coarse=0.9, theta_refine=0.4)
         n_before = state.mesh.n_active
-        state, _ = adapt_step(state, prob, params, PenaltySpec(1.0, 0), 1,
-                              1, 0.01, 0.01, RunTracker())
+        state, _ = adapt_step(state, prob, params, PenaltySpec(1.0, 0),
+                              1, 0.01, 0.01)
         assert state.mesh.n_active == n_before
 
     def test_pure_refine_single_round(self):
         prob = example1()
         state = self._state(prob, 0.5)
-        tracker = RunTracker()
-        params = AdaptParams(tau=1e-12, theta_coarse=0.0, theta_refine=0.1)
-        state, rep = adapt_step(state, prob, params, PenaltySpec(1.0, 0), 1,
-                                1, 0.01, 0.01, tracker, pure_refine=True)
+        params = _pure_refine(theta_refine=0.1)
+        state, rep = adapt_step(state, prob, params, PenaltySpec(1.0, 0),
+                                1, 0.01, 0.01)
         assert rep.adapt_iters == 1
         assert state.mesh.n_active > 12
 
     def test_tolerance_loop_terminates_and_reports(self):
         prob = example1()
         state = self._state(prob, 0.25)
-        tracker = RunTracker()
         params = AdaptParams(tau=5e-3, theta_coarse=0.5, theta_refine=0.4,
                              max_iters=10)
         for n in range(1, 6):
-            state, rep = adapt_step(state, prob, params, PenaltySpec(1.0, 0), 1,
-                                    n, n * 0.01, 0.01, tracker)
+            state, rep = adapt_step(state, prob, params, PenaltySpec(1.0, 0),
+                                    n, n * 0.01, 0.01)
             assert rep.adapt_iters <= 10
             assert rep.eta_total < 5e-3 or rep.adapt_iters == 10
             assert rep.error_linf >= rep.error_h1 - 1e-15
-        assert tracker.eta_linf > 0
+        assert state.eta_linf > 0
 
     def test_max_iters_cap_returns_state(self, caplog):
         prob = example1()
@@ -163,10 +159,16 @@ class TestAdaptStep:
         params = AdaptParams(tau=1e-12, theta_coarse=0.0, theta_refine=0.05,
                              max_iters=2)
         with caplog.at_level("WARNING"):
-            state, rep = adapt_step(state, prob, params, PenaltySpec(1.0, 0), 1,
-                                    1, 0.01, 0.01, RunTracker())
+            state, rep = adapt_step(state, prob, params, PenaltySpec(1.0, 0),
+                                    1, 0.01, 0.01)
         assert rep.adapt_iters == 2
         assert any("tolerance" in r.message for r in caplog.records)
+
+
+def _pure_refine(theta_refine):
+    """The marking policy of a pure-refine run."""
+    return RunConfig(mode="adaptive_pure_refine",
+                     theta_refine=theta_refine).adapt_params()
 
 
 def _count_inits(monkeypatch, cls, on_init=None):
@@ -191,33 +193,32 @@ class TestFactorReuse:
     UNIFORM = AdaptParams(tau=math.inf, theta_coarse=0.0)
 
     @staticmethod
-    def _first_step(params, h0=0.25, k=1, pure_refine=False):
+    def _first_step(params, h0=0.25, k=1):
         prob = example1()
         state = TestAdaptStep._state(prob, h0, k)
-        tracker = RunTracker()
-        state, _ = adapt_step(state, prob, params, TestFactorReuse.PEN, k,
-                              1, 0.01, 0.01, tracker, pure_refine=pure_refine)
-        return prob, state, tracker
+        state, _ = adapt_step(state, prob, params, TestFactorReuse.PEN,
+                              1, 0.01, 0.01)
+        return prob, state
 
     def test_unchanged_mesh_builds_nothing_and_matches_fresh_solve(
             self, monkeypatch):
         # root cells cannot be coarsened, so every coarsen mark is dropped
         params = AdaptParams(tau=math.inf, theta_coarse=0.9)
         for k in (1, 2):
-            prob, state, tracker = self._first_step(params, k=k)
+            prob, state = self._first_step(params, k=k)
             assert state.solver is not None
             # a fresh solve: same coefficients on a newly built space, no factor
             fresh_field = DiscreteField(EGSpace(state.mesh, k),
                                         state.field.coeffs.copy())
-            fresh_state = AdaptState(fresh_field, state.mesh, state.indicators)
-            fresh_tracker = copy.deepcopy(tracker)
-            _, fresh = adapt_step(fresh_state, prob, params, self.PEN, k, 2,
-                                  0.02, 0.01, fresh_tracker)
+            fresh_state = dataclasses.replace(state, field=fresh_field,
+                                              solver=None)
+            _, fresh = adapt_step(fresh_state, prob, params, self.PEN, 2,
+                                  0.02, 0.01)
             with monkeypatch.context() as mp:
                 spaces = _count_inits(mp, EGSpace)
                 factors = _count_inits(mp, CondensedSolver)
-                new, rep = adapt_step(state, prob, params, self.PEN, k, 2,
-                                      0.02, 0.01, tracker)
+                new, rep = adapt_step(state, prob, params, self.PEN, 2,
+                                      0.02, 0.01)
                 assert (len(spaces), len(factors)) == (0, 0)
             assert new.mesh is state.mesh
             for f in dataclasses.fields(rep):
@@ -229,33 +230,30 @@ class TestFactorReuse:
 
     def test_unhonoured_coarsening_keeps_the_mesh(self):
         params = AdaptParams(tau=math.inf, theta_coarse=0.9)
-        prob, state, tracker = self._first_step(params)
+        prob, state = self._first_step(params)
         marks = coarsen_mark(state.indicators, 0.9)
         assert marks and state.mesh.coarsen(marks) is state.mesh
 
     def test_different_dt_refactors(self, monkeypatch):
-        prob, state, tracker = self._first_step(self.UNIFORM)
+        prob, state = self._first_step(self.UNIFORM)
         spaces = _count_inits(monkeypatch, EGSpace)
         factors = _count_inits(monkeypatch, CondensedSolver)
-        adapt_step(state, prob, self.UNIFORM, self.PEN, 1, 2, 0.025, 0.015,
-                   tracker)
+        adapt_step(state, prob, self.UNIFORM, self.PEN, 2, 0.025, 0.015)
         assert (len(spaces), len(factors)) == (0, 1)
 
     def test_different_penalty_refactors(self, monkeypatch):
-        prob, state, tracker = self._first_step(self.UNIFORM)
+        prob, state = self._first_step(self.UNIFORM)
         factors = _count_inits(monkeypatch, CondensedSolver)
-        adapt_step(state, prob, self.UNIFORM, PenaltySpec(2.0, 0), 1, 2, 0.02,
-                   0.01, tracker)
+        adapt_step(state, prob, self.UNIFORM, PenaltySpec(2.0, 0), 2, 0.02,
+                   0.01)
         assert len(factors) == 1
 
     def test_refine_refactors(self, monkeypatch):
-        params = AdaptParams(tau=1e-12, theta_coarse=0.0, theta_refine=0.1)
-        prob, state, tracker = self._first_step(params, h0=0.5,
-                                                pure_refine=True)
+        params = _pure_refine(theta_refine=0.1)
+        prob, state = self._first_step(params, h0=0.5)
         spaces = _count_inits(monkeypatch, EGSpace)
         factors = _count_inits(monkeypatch, CondensedSolver)
-        new, rep = adapt_step(state, prob, params, self.PEN, 1, 2, 0.02, 0.01,
-                              tracker, pure_refine=True)
+        new, rep = adapt_step(state, prob, params, self.PEN, 2, 0.02, 0.01)
         # the first solve reuses the carried factor; the refined mesh does not
         assert rep.adapt_iters == 1
         assert new.mesh is not state.mesh
@@ -263,30 +261,27 @@ class TestFactorReuse:
         assert new.solver.space is new.field.space
 
     def test_real_coarsen_refactors(self, monkeypatch):
-        refine = AdaptParams(tau=1e-12, theta_coarse=0.0, theta_refine=0.5)
-        prob, state, tracker = self._first_step(refine, h0=0.5,
-                                                pure_refine=True)
+        prob, state = self._first_step(_pure_refine(theta_refine=0.5), h0=0.5)
         coarsen = AdaptParams(tau=math.inf, theta_coarse=0.99)
         spaces = _count_inits(monkeypatch, EGSpace)
         factors = _count_inits(monkeypatch, CondensedSolver)
-        new, _ = adapt_step(state, prob, coarsen, self.PEN, 1, 2, 0.02, 0.01,
-                            tracker)
+        new, _ = adapt_step(state, prob, coarsen, self.PEN, 2, 0.02, 0.01)
         assert new.mesh.n_active < state.mesh.n_active
         assert (len(spaces), len(factors)) == (1, 1)
 
     def test_old_factor_released_before_next_factorization(self, monkeypatch):
-        prob, state, tracker = self._first_step(self.UNIFORM)
+        prob, state = self._first_step(self.UNIFORM)
         ref = weakref.ref(state.solver)
         alive = []
         _count_inits(monkeypatch, CondensedSolver,
                      on_init=lambda: alive.append(ref() is not None))
-        new, _ = adapt_step(state, prob, self.UNIFORM, self.PEN, 1, 2, 0.025,
-                            0.015, tracker)
+        new, _ = adapt_step(state, prob, self.UNIFORM, self.PEN, 2, 0.025,
+                            0.015)
         assert alive == [False]
         assert state.solver is None and new.solver is not None
 
     def test_nan_indicator_never_refines_without_tolerance(self, monkeypatch):
-        prob, state, tracker = self._first_step(self.UNIFORM)
+        prob, state = self._first_step(self.UNIFORM)
         real = adapt_mod.estimator.compute_indicators
 
         def nan_indicators(*args, **kwargs):
@@ -300,8 +295,8 @@ class TestFactorReuse:
         monkeypatch.setattr(adapt_mod.estimator, "compute_indicators",
                             nan_indicators)
         monkeypatch.setattr(Mesh, "refine", no_refine)
-        new, rep = adapt_step(state, prob, self.UNIFORM, self.PEN, 1, 2, 0.02,
-                              0.01, tracker)
+        new, rep = adapt_step(state, prob, self.UNIFORM, self.PEN, 2, 0.02,
+                              0.01)
         assert rep.adapt_iters == 0 and math.isnan(rep.eta_total)
 
     def test_uniform_run_factors_once(self, monkeypatch):
@@ -325,3 +320,9 @@ class TestParams:
             AdaptParams(theta_refine=0.0)
         with pytest.raises(ValueError):
             AdaptParams(coarsen_rule="nope")
+
+    def test_zero_tau_means_no_tolerance(self):
+        assert AdaptParams(tau=0.0).tau == 0.0
+        for tau in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                AdaptParams(tau=tau)

@@ -1,10 +1,16 @@
+import inspect
+import logging
+import math
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from egadapt import (ConfigError, DiscreteField, DomainShape, EGSpace, RunConfig,
-                     build_initial, cli_main, interpolate, order_dofs,
+                     build_initial, cli_main, driver, interpolate, order_dofs,
                      parse_config_file, run_cycles, run_timeloop, writers)
 
 from conftest import random_adaptive_mesh
@@ -22,6 +28,12 @@ class TestOrderDofs:
 
     def test_undefined_for_zero_error(self):
         assert order_dofs([0.1, 0.0], [10, 40]) == [None]
+
+    def test_undefined_for_equal_dofs(self):
+        # two cycles that end on the same dof count have no rate
+        assert order_dofs([1.0, 0.5], [10, 10]) == [None]
+        assert order_dofs([1.0, 0.5, 0.25], [10, 10, 40]) == [
+            None, pytest.approx(1.0)]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -81,6 +93,21 @@ class TestTimeloop:
         assert header == ("n,t_n,dofs,h_min_n,eta_total,eta_sum,eta_linf,"
                           "error_h1,error_linf,ei,adapt_iters")
         assert len(c1.decode().splitlines()) == 6
+
+    def test_pure_refine_mode_pinned(self, caplog):
+        # one bulk-refinement round per step, no coarsening and no tolerance
+        # warning; no benchmark workload runs this mode
+        cfg = RunConfig(problem="example1", mode="adaptive_pure_refine",
+                        h0=0.5, dt=0.05, T_final=0.25, theta_refine=0.1)
+        with caplog.at_level(logging.WARNING, logger="egadapt.adapt"):
+            reps = run_timeloop(cfg)
+        assert [(r.n, r.dofs, r.adapt_iters) for r in reps] == [
+            (1, 41, 1), (2, 49, 1), (3, 55, 1), (4, 62, 1), (5, 69, 1)]
+        assert [r.eta_total for r in reps] == pytest.approx(
+            [0.01836464040816602, 0.019667752429903464, 0.024138528530225453,
+             0.028095279415469257, 0.03013378489865147], rel=1e-12, abs=0.0)
+        assert not [r for r in caplog.records if r.name == "egadapt.adapt"
+                    and r.levelno >= logging.WARNING]
 
     def test_cycles_summary(self):
         cfg = RunConfig(problem="example1", mode="uniform", h0=0.5, dt=0.1,
@@ -214,7 +241,8 @@ class TestCli:
         step = {"n": 0}
 
         def counting_step(*a, **kw):
-            step["n"] = a[5]
+            step["n"] = inspect.signature(real_step).bind(
+                *a, **kw).arguments["n"]
             return real_step(*a, **kw)
 
         def failing_solve(self, rhs):
@@ -457,3 +485,42 @@ class TestRunOptionSchema:
         out = capsys.readouterr().out
         for f in fields(RunConfig):
             assert _flag(f.name) + " " in out
+
+
+class TestModePolicies:
+    """A run mode is only the marking policy that adapt_params returns."""
+
+    @pytest.mark.parametrize("mode, expected", [
+        ("uniform", (math.inf, 0.0, 7)),
+        ("adaptive_pure_refine", (0.0, 0.0, 1)),
+        ("adaptive_full", (2e-3, 0.3, 7))])
+    def test_policy_table(self, mode, expected):
+        params = RunConfig(mode=mode, tau=2e-3, theta_coarse=0.3,
+                           theta_refine=0.2, max_iters=7,
+                           coarsen_rule="fraction").adapt_params()
+        assert (params.tau, params.theta_coarse, params.max_iters) == expected
+        assert (params.theta_refine, params.coarsen_rule) == (0.2, "fraction")
+
+
+def _readme_cli_examples():
+    """The ``python -m egadapt ...`` commands of README.md, one argv each,
+    with backslash-continued lines joined and trailing comments cut."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    text = re.sub(r"\\\n\s*", " ", text)
+    return [shlex.split(line, comments=True)[3:] for line in text.splitlines()
+            if line.strip().startswith("python -m egadapt")]
+
+
+def test_readme_cli_examples_parse():
+    # a renamed or removed run option fails here instead of leaving the
+    # README's examples stale
+    examples = _readme_cli_examples()
+    assert len(examples) >= 2
+    for argv in examples:
+        args = driver._build_parser().parse_args(argv)
+        if args.config:
+            continue
+        values = {name: driver._coerce(name, getattr(args, name))
+                  for name in driver._TYPES if getattr(args, name) is not None}
+        RunConfig(**values).validate()
