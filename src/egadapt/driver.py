@@ -65,9 +65,11 @@ class RunConfig:
         if not all(map(math.isfinite, self.snapshot_times)):
             raise ConfigError(f"snapshot times must be finite, got "
                               f"{self.snapshot_times}")
+        problem = problems.by_name(self.problem)
+        _step_count(problem.T_final if self.T_final is None else self.T_final,
+                    self.dt)
         # the last cycle runs on the finest root grid, h0 / 2**(cycles - 1)
-        _root_grid_size(math.ldexp(self.h0, 1 - self.cycles),
-                        problems.by_name(self.problem).shape)
+        _root_grid_size(math.ldexp(self.h0, 1 - self.cycles), problem.shape)
         try:
             PenaltySpec(self.alpha, self.theta)
             if not self.tau > 0:

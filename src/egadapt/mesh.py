@@ -245,10 +245,10 @@ class Mesh:
         return inside & (self._table[np.clip(ri, 0, n - 1),
                                      np.clip(rj, 0, n - 1)] >= 0)
 
-    def _neighbors(self, ids):
-        """Same-level face neighbors of cell ids, four entries per id in side
-        order: (side, in-domain flag, neighbor id or -1)."""
-        level, i, j = (np.repeat(a, 4) for a in self._positions(ids))
+    def _neighbors(self, level, i, j):
+        """Same-level face neighbors of the cells at (level, i, j), four per
+        cell in side order: (side, in-domain flag, neighbor id or -1)."""
+        level, i, j = (np.repeat(a, 4) for a in (level, i, j))
         side = np.tile(np.arange(4), len(level) // 4)
         i, j = i + _DI[side], j + _DJ[side]
         inside = self._in_domain(level, i, j)
@@ -286,7 +286,7 @@ class Mesh:
     # edges
 
     def _build_edges(self):
-        side, inside, nid = self._neighbors(self.active_ids)
+        side, inside, nid = self._neighbors(self.level, self.i, self.j)
         minus = np.repeat(np.arange(self.n_active), 4)
         plus = self.active_rows(nid)
         same = plus >= 0
@@ -349,7 +349,7 @@ class Mesh:
         """Which parents may not replace their children in the active id
         array ``act``: those with an active face neighbor two or more
         levels below the parent, or a neighbor two or more levels above."""
-        side, inside, nid = self._neighbors(parents)
+        side, inside, nid = self._neighbors(*self._positions(parents))
         nid, side = nid[inside], side[inside]
         kids = self.child_ids(nid[:, None], _KX[side], _KY[side])
         covered = ((_rows_in(act, kids) >= 0)

@@ -1,7 +1,12 @@
 """Benchmark problem definitions.
 
-``example1`` and ``example2`` are manufactured solutions on the L-shaped
-domain built around the corner-singular harmonic function
+Each problem is a manufactured solution p = T(t) u(x, y), built by
+:func:`_manufactured` from a module-level ``terms(x, y) -> (u, ux, uy,
+lap_u)``: grad p = T grad u, dp/dt = T' u, f = T' u - T Lap(u), g_D = p,
+g_N = 0 and p0 = 0, or p0 = u when steady (T = 1; else T = sin(pi t / 2)).
+
+``example1`` (u = s) and ``example2`` (u = w s, w = (x^2 - 1)(y^2 - 1))
+sit on the L-shaped domain, around the corner-singular harmonic function
 
     s(x, y) = r^(2/3) * sin(2 phi / 3),
 
@@ -9,15 +14,14 @@ where phi is the angle measured clockwise from the positive x-axis, so
 that s vanishes on both re-entrant boundary rays (phi = 0 and
 phi = 3 pi / 2).  The clockwise convention flips the sign of the usual
 d(phi)/dx: with theta = atan2(y, x) one has phi = -theta (mod 2 pi),
-hence d(phi)/dx = +y/r^2 and d(phi)/dy = -x/r^2.
+hence d(phi)/dx = +y/r^2 and d(phi)/dy = -x/r^2.  ``smoke_linear`` is
+the steady u = x + y on the unit square, used by exactness tests.
 
-``smoke_linear`` is the trivially representable steady solution x + y on
-the unit square, used by exactness tests.
-
-The examples multiply s by a time factor, and their data is evaluated
-again and again at the same cell quadrature points.  At a space's cell
-points (``EGSpace.tables.x``, ``.y``) s and its gradient are computed once
-and kept in the points' memo, so they live as long as the space.
+At a space's cell points (``EGSpace.tables.x``, ``.y``), where the data is
+evaluated again and again, the terms are computed once and kept read-only
+in the points' memo, keyed by the terms function: they live as long as the
+space and are shared by every instance of a problem.  Elsewhere each call
+computes them.
 """
 
 from __future__ import annotations
@@ -69,16 +73,8 @@ def _angle(x, y):
     return np.mod(-np.arctan2(y, x), TWO_PI)
 
 
-def _singular(x, y):
-    """(s, sx, sy) from :func:`_singular_values`; computed once per space
-    at its cell points, where the arrays are read-only."""
-    if isinstance(x, CellPoints):
-        return x.cached(y, _singular_values)
-    return _singular_values(x, y)
-
-
-def _singular_values(x, y):
-    """s = r^(2/3) sin(2 phi / 3) with its Cartesian gradient.
+def _corner_terms(x, y):
+    """s = r^(2/3) sin(2 phi / 3), its Cartesian gradient and Lap(s) = 0.
 
     The gradient entries blow up like r^(-1/3); callers never evaluate them
     at the corner (quadrature points are interior, checks stay at r > 0).
@@ -97,7 +93,27 @@ def _singular_values(x, y):
     cx, cy = x * inv_r, y * inv_r
     sx = (2.0 / 3.0) * rm13 * (sin23 * cx + cos23 * cy)
     sy = (2.0 / 3.0) * rm13 * (sin23 * cy - cos23 * cx)
-    return s, sx, sy
+    return s, sx, sy, np.zeros_like(s)
+
+
+def _window_terms(x, y):
+    """w s with the window w = (x^2 - 1)(y^2 - 1), by the product rule;
+    s is harmonic, so Lap(w s) = 2 grad(w) . grad(s) + s Lap(w)."""
+    s, sx, sy, _ = _corner_terms(x, y)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    w = (x ** 2 - 1.0) * (y ** 2 - 1.0)
+    wx = 2.0 * x * (y ** 2 - 1.0)
+    wy = 2.0 * y * (x ** 2 - 1.0)
+    lap_w = 2.0 * (y ** 2 - 1.0) + 2.0 * (x ** 2 - 1.0)
+    return (w * s, wx * s + w * sx, wy * s + w * sy,
+            2.0 * (wx * sx + wy * sy) + s * lap_w)
+
+
+def _linear_terms(x, y):
+    """u = x + y."""
+    u = np.asarray(x, dtype=float) + np.asarray(y, dtype=float)
+    return u, np.ones_like(u), np.ones_like(u), np.zeros_like(u)
 
 
 def _tfac(t):
@@ -108,110 +124,61 @@ def _tfac_dt(t):
     return 0.5 * math.pi * np.cos(0.5 * math.pi * t)
 
 
+def _manufactured(name, shape, terms, T_final, steady=False):
+    """The problem p = T(t) u on ``shape``, with u and its derivatives from
+    ``terms``; T = sin(pi t / 2), or T = 1 if ``steady``."""
+    T, T_dt = (_tfac, _tfac_dt) if not steady else \
+        ((lambda t: 1.0), (lambda t: 0.0))
+
+    def at(x, y):
+        if isinstance(x, CellPoints):
+            return x.cached(y, terms)
+        return terms(x, y)
+
+    def p(x, y, t):
+        return T(t) * at(x, y)[0]
+
+    def grad(x, y, t):
+        _, ux, uy, _ = at(x, y)
+        return T(t) * ux, T(t) * uy
+
+    def dp_dt(x, y, t):
+        return T_dt(t) * at(x, y)[0]
+
+    def f(x, y, t):
+        u, _, _, lap_u = at(x, y)
+        return T_dt(t) * u - T(t) * lap_u
+
+    def zero(x, y, t=None):
+        return np.zeros_like(np.asarray(x, dtype=float))
+
+    return ProblemSpec(
+        name=name, shape=shape, f=f, g_D=p, g_N=zero,
+        p0=(lambda x, y: at(x, y)[0]) if steady else zero,
+        partition=all_dirichlet(shape), T_final=T_final,
+        exact=ExactSolution(p, grad, dp_dt))
+
+
 def example1():
     """Corner-singular harmonic solution p = sin(pi t / 2) s(x, y).
 
     The spatial part is harmonic, so the source reduces to the time
     derivative.  Dirichlet data is the exact trace on the whole boundary.
     """
-    def p(x, y, t):
-        s, _, _ = _singular(x, y)
-        return _tfac(t) * s
-
-    def grad(x, y, t):
-        _, sx, sy = _singular(x, y)
-        return _tfac(t) * sx, _tfac(t) * sy
-
-    def dp_dt(x, y, t):
-        s, _, _ = _singular(x, y)
-        return _tfac_dt(t) * s
-
-    return ProblemSpec(
-        name="example1",
-        shape=DomainShape.L_SHAPE,
-        f=dp_dt,
-        g_D=p,
-        g_N=lambda x, y, t: np.zeros_like(np.asarray(x, dtype=float)),
-        p0=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
-        partition=all_dirichlet(DomainShape.L_SHAPE),
-        T_final=0.5,
-        exact=ExactSolution(p, grad, dp_dt),
-    )
+    return _manufactured("example1", DomainShape.L_SHAPE, _corner_terms, 0.5)
 
 
 def example2():
-    """Singular solution with nonzero diffusion term.
-
-    p = (x^2 - 1)(y^2 - 1) sin(pi t / 2) s(x, y); the window factor kills
-    the trace on the outer boundary and s on the re-entrant rays, so the
-    Dirichlet data is identically zero.  Since s is harmonic the Laplacian
-    expands by the product rule as 2 grad(w) . grad(s) + s Lap(w) with
-    w the window polynomial.
-    """
-    def parts(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        w = (x ** 2 - 1.0) * (y ** 2 - 1.0)
-        wx = 2.0 * x * (y ** 2 - 1.0)
-        wy = 2.0 * y * (x ** 2 - 1.0)
-        lap_w = 2.0 * (y ** 2 - 1.0) + 2.0 * (x ** 2 - 1.0)
-        return w, wx, wy, lap_w
-
-    def p(x, y, t):
-        s, _, _ = _singular(x, y)
-        w, _, _, _ = parts(x, y)
-        return _tfac(t) * w * s
-
-    def grad(x, y, t):
-        s, sx, sy = _singular(x, y)
-        w, wx, wy, _ = parts(x, y)
-        return _tfac(t) * (wx * s + w * sx), _tfac(t) * (wy * s + w * sy)
-
-    def dp_dt(x, y, t):
-        s, _, _ = _singular(x, y)
-        w, _, _, _ = parts(x, y)
-        return _tfac_dt(t) * w * s
-
-    def f(x, y, t):
-        s, sx, sy = _singular(x, y)
-        w, wx, wy, lap_w = parts(x, y)
-        lap_p = _tfac(t) * (2.0 * (wx * sx + wy * sy) + s * lap_w)
-        return _tfac_dt(t) * w * s - lap_p
-
-    return ProblemSpec(
-        name="example2",
-        shape=DomainShape.L_SHAPE,
-        f=f,
-        g_D=p,
-        g_N=lambda x, y, t: np.zeros_like(np.asarray(x, dtype=float)),
-        p0=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
-        partition=all_dirichlet(DomainShape.L_SHAPE),
-        T_final=0.5,
-        exact=ExactSolution(p, grad, dp_dt),
-    )
+    """Singular solution with nonzero diffusion term, p = (x^2 - 1)(y^2 - 1)
+    sin(pi t / 2) s(x, y); the window factor kills the trace on the outer
+    boundary and s on the re-entrant rays, so g_D is identically zero."""
+    return _manufactured("example2", DomainShape.L_SHAPE, _window_terms, 0.5)
 
 
 def smoke_linear():
     """Steady p = x + y on the unit square, exactly representable by Q1."""
-    def p(x, y, t=0.0):
-        return np.asarray(x, dtype=float) + np.asarray(y, dtype=float)
-
-    def grad(x, y, t=0.0):
-        shape = np.broadcast(np.asarray(x), np.asarray(y)).shape
-        return np.ones(shape), np.ones(shape)
-
-    zero = lambda x, y, t=0.0: np.zeros_like(np.asarray(x, dtype=float))
-    return ProblemSpec(
-        name="smoke_linear",
-        shape=DomainShape.UNIT_SQUARE,
-        f=lambda x, y, t: zero(x, y),
-        g_D=lambda x, y, t: p(x, y),
-        g_N=lambda x, y, t: zero(x, y),
-        p0=p,
-        partition=all_dirichlet(DomainShape.UNIT_SQUARE),
-        T_final=0.1,
-        exact=ExactSolution(lambda x, y, t: p(x, y), grad, zero),
-    )
+    return _manufactured("smoke_linear", DomainShape.UNIT_SQUARE,
+                         _linear_terms, 0.1, steady=True)
 
 
 _REGISTRY = {

@@ -469,3 +469,69 @@ def field_vtk(field, path, title="EG field"):
         fh.write("SCALARS const_part double\nLOOKUP_TABLE default\n")
         for const in field.coeffs[space.n_cg:]:
             fh.write(f"{const:.12g}\n")
+
+
+# ----------------------------------------------------------------------
+# problem data, written out per problem as closed forms
+
+def _corner(x, y):
+    """s = r^(2/3) sin(2 phi / 3), phi clockwise from the positive x-axis,
+    with its Cartesian gradient (0 at the corner)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    r = np.hypot(x, y)
+    phi = np.mod(-np.arctan2(y, x), 2.0 * math.pi)
+    sin23 = np.sin(2.0 * phi / 3.0)
+    cos23 = np.cos(2.0 * phi / 3.0)
+    s = r ** (2.0 / 3.0) * sin23
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rm13 = np.where(r > 0.0, r ** (-1.0 / 3.0), 0.0)
+        inv_r = np.where(r > 0.0, 1.0 / r, 0.0)
+    cx, cy = x * inv_r, y * inv_r
+    sx = (2.0 / 3.0) * rm13 * (sin23 * cx + cos23 * cy)
+    sy = (2.0 / 3.0) * rm13 * (sin23 * cy - cos23 * cx)
+    return s, sx, sy
+
+
+def _tfac(t):
+    return np.sin(0.5 * math.pi * t)
+
+
+def _tfac_dt(t):
+    return 0.5 * math.pi * np.cos(0.5 * math.pi * t)
+
+
+def _window(x, y):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return ((x ** 2 - 1.0) * (y ** 2 - 1.0), 2.0 * x * (y ** 2 - 1.0),
+            2.0 * y * (x ** 2 - 1.0),
+            2.0 * (y ** 2 - 1.0) + 2.0 * (x ** 2 - 1.0))
+
+
+def _example1(x, y, t):
+    s, sx, sy = _corner(x, y)
+    return {"f": _tfac_dt(t) * s, "p": _tfac(t) * s,
+            "grad": (_tfac(t) * sx, _tfac(t) * sy), "dt": _tfac_dt(t) * s}
+
+
+def _example2(x, y, t):
+    """p = T(t) w s, expanded as (T w) s; Lap(p) by the product rule."""
+    s, sx, sy = _corner(x, y)
+    w, wx, wy, lap_w = _window(x, y)
+    lap_p = _tfac(t) * (2.0 * (wx * sx + wy * sy) + s * lap_w)
+    return {"f": _tfac_dt(t) * w * s - lap_p, "p": _tfac(t) * w * s,
+            "grad": (_tfac(t) * (wx * s + w * sx), _tfac(t) * (wy * s + w * sy)),
+            "dt": _tfac_dt(t) * w * s}
+
+
+def _smoke_linear(x, y, t):
+    p = np.asarray(x, dtype=float) + np.asarray(y, dtype=float)
+    return {"f": np.zeros_like(p), "p": p,
+            "grad": (np.ones_like(p), np.ones_like(p)), "dt": np.zeros_like(p)}
+
+
+#: per problem name, ``fn(x, y, t)`` giving a dict of the data f, the exact
+#: p, its gradient (a pair) and its time derivative dt
+PROBLEM_DATA = {"example1": _example1, "example2": _example2,
+                "smoke_linear": _smoke_linear}

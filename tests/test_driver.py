@@ -407,6 +407,20 @@ class TestCliFailsFast:
         assert calls == []
         assert "2048 x 2048" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("times", [("--dt", "0.03", "--T", "0.5"),
+                                       ("--T", "-1")],
+                             ids=["dt_not_dividing_T", "negative_T"])
+    @pytest.mark.parametrize("cycles", ["1", "2"])
+    def test_bad_final_time_exits_2_before_output_dir(
+            self, times, cycles, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = cli_main(["--problem", "example1", "--mode", "uniform",
+                       "--h0", "0.5", "--cycles", cycles, *times,
+                       "--output-dir", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert capsys.readouterr().out.startswith("configuration error:")
+
     def test_finest_allowed_cycle_passes_validation(self):
         RunConfig(problem="smoke_linear", mode="uniform", h0=0.5,
                   cycles=10).validate()

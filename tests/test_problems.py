@@ -7,8 +7,10 @@ import pytest
 
 from egadapt import EGSpace, RunConfig, by_name, problems, run_timeloop
 from egadapt.problems import example1, example2, smoke_linear
+from egadapt.space import CellPoints
 
 from conftest import random_adaptive_mesh
+from reference import PROBLEM_DATA
 
 
 def mp_angle(x, y):
@@ -190,19 +192,19 @@ class TestSmokeLinear:
             by_name("nope")
 
 
-def _record_calls(monkeypatch, name):
-    """Wrap ``problems.<name>``; returns the list of x arrays it is called with."""
-    seen, real = [], getattr(problems, name)
+def _record_calls(monkeypatch, owner, name):
+    """Wrap ``owner.<name>``; returns the list of x arrays it is called with."""
+    seen, real = [], getattr(owner, name)
 
-    def wrapper(x, y):
+    def wrapper(x, y, *rest):
         seen.append(x)
-        return real(x, y)
-    monkeypatch.setattr(problems, name, wrapper)
+        return real(x, y, *rest)
+    monkeypatch.setattr(owner, name, wrapper)
     return seen
 
 
 class TestCellPointCache:
-    """The singular factor is evaluated once per space at its cell points."""
+    """Each problem's terms are evaluated once per space at its cell points."""
 
     @pytest.fixture(params=[1, 2])
     def space(self, request):
@@ -212,11 +214,12 @@ class TestCellPointCache:
     def test_cached_results_equal_fresh_evaluation(self, space, make,
                                                    monkeypatch):
         assert len(space.slaves)                     # a hanging mesh
-        prob = make()
+        terms = {example1: "_corner_terms", example2: "_window_terms"}[make]
+        calls = _record_calls(monkeypatch, problems, terms)
+        prob = make()                                # builds on the wrapper
         x, y = space.tables.x, space.tables.y
         fresh_x, fresh_y = np.array(x), np.array(y)  # plain copies
         assert type(fresh_x) is np.ndarray
-        calls = _record_calls(monkeypatch, "_singular_values")
         for t in (0.0, 0.05, 0.37, 1.0):
             for fn in (prob.f, prob.g_D, prob.exact.p, prob.exact.grad):
                 want = np.asarray(fn(fresh_x, fresh_y, t))
@@ -235,22 +238,36 @@ class TestCellPointCache:
                 f(*args, 0.5), f(*(np.array(a) for a in args), 0.5))
         assert np.array_equal(f(x, y, 0.5), cached)
 
+    def test_instances_share_one_memo_entry(self, space):
+        x, y = space.tables.x, space.tables.y
+        first, second = example1(), example1()
+        want = first.f(x, y, 0.3)
+        assert np.array_equal(second.f(x, y, 0.3), want)
+        second.exact.grad(x, y, 0.3)
+        assert list(x._memo) == [problems._corner_terms]
+
     def test_points_and_cached_values_are_read_only(self, space):
         x, y = space.tables.x, space.tables.y
-        for a in (x, y, *problems._singular(x, y)):
-            with pytest.raises(ValueError):
-                a[0, 0] = 1.0
+        for make in (example1, example2, smoke_linear):
+            make().f(x, y, 0.5)
+        assert len(x._memo) == 3
+        for values in x._memo.values():
+            assert len(values) == 4                  # u, ux, uy, lap_u
+            for a in (x, y, *values):
+                with pytest.raises(ValueError):
+                    a[0, 0] = 1.0
 
     def test_cache_is_freed_with_the_space(self):
         space = EGSpace(random_adaptive_mesh(rounds=1, seed=2), 1)
-        s, _, _ = problems._singular(space.tables.x, space.tables.y)
+        example1().exact.p(space.tables.x, space.tables.y, 0.5)
+        s = space.tables.x._memo[problems._corner_terms][0]
         refs = [weakref.ref(o) for o in (space, space.tables, s)]
         del space, s
         assert all(r() is None for r in refs)
 
     def test_uniform_run_evaluates_the_cell_grid_once(self, monkeypatch):
-        calls = _record_calls(monkeypatch, "_singular")
-        evaluations = _record_calls(monkeypatch, "_singular_values")
+        calls = _record_calls(monkeypatch, CellPoints, "cached")
+        evaluations = _record_calls(monkeypatch, problems, "_corner_terms")
         steps = 5
         reports = run_timeloop(RunConfig(problem="example1", mode="uniform",
                                          h0=0.25, dt=0.01, T_final=0.05))
@@ -259,3 +276,36 @@ class TestCellPointCache:
         # f once for the load vector and the indicators, exact p and grad
         assert sum(np.size(x) == grid for x in calls) == 3 * steps
         assert sum(np.size(x) == grid for x in evaluations) == 1
+
+
+class TestClosedForms:
+    """The builder gives each problem's data as its closed form, exactly
+    for example1 and smoke_linear; example2 expands p = T (w s) where the
+    closed form reads (T w) s, a difference in the last bit."""
+
+    @pytest.mark.parametrize("name", ["example1", "smoke_linear"])
+    @pytest.mark.parametrize("cell_points", [True, False])
+    def test_exact(self, name, cell_points):
+        for got, want in self._pairs(name, cell_points):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("cell_points", [True, False])
+    def test_example2_to_rounding(self, cell_points):
+        for got, want in self._pairs("example2", cell_points):
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @staticmethod
+    def _pairs(name, cell_points):
+        """(library, closed form) pairs of f, p, dp/dt and both gradient
+        components at a hanging Q2 mesh's cell points, or at copies."""
+        prob = by_name(name)
+        space = EGSpace(random_adaptive_mesh(prob.shape, seed=4), 2)
+        x, y = space.tables.x, space.tables.y
+        if not cell_points:
+            x, y = np.array(x), np.array(y)
+        for t in (0.0, 0.05, 0.37, 1.0):
+            want = PROBLEM_DATA[name](x, y, t)
+            for key, fn in (("f", prob.f), ("p", prob.exact.p),
+                            ("dt", prob.exact.dt)):
+                yield np.asarray(fn(x, y, t)), want[key]
+            yield from zip(prob.exact.grad(x, y, t), want["grad"])
