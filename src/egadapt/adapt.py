@@ -137,15 +137,12 @@ def _space_and_prev(mesh, field):
 
 
 def _solve(sp, solver, prev_vals, problem, penalty, t_n, dt):
-    """Solution and indicators on a factored space.  The problem data at
-    ``t_n`` is evaluated once for the load and the indicators, and is
-    freed on return, before any later factorization."""
-    data = assembly._problem_data(sp, problem, t_n)
-    b = assembly.assemble_rhs(sp, problem, t_n, penalty, prev=prev_vals,
-                              dt=dt, data=data)
+    """Solution and indicators on a factored space; each takes the problem
+    data at ``t_n`` from the memo of the space's cell and edge points."""
+    b = assembly.assemble_rhs(sp, problem, t_n, penalty, prev=prev_vals, dt=dt)
     field = space_mod.DiscreteField(sp, solver.solve(b))
     return field, estimator.compute_indicators(
-        sp, field, prev_vals, problem, t_n, dt, penalty.alpha, data=data)
+        sp, field, prev_vals, problem, t_n, dt, penalty.alpha)
 
 
 def adapt_step(state, problem, params, penalty, n, t_n, dt):

@@ -39,7 +39,7 @@ from scipy.sparse.linalg import splu
 from .mesh import EAST, KINDS, NORMALS, NORTH, SUB_FULL, EdgeKind
 from .problems import at_points
 from .quadrature import edge_rule
-from .space import face_points, tabulate
+from .space import face_points, memo_points, tabulate
 
 
 class SolverError(RuntimeError):
@@ -90,7 +90,8 @@ class _EdgeGroup:
     ``keep`` picks the joint dofs from the cells' local dofs, each at its
     first place (a plus face node at a minus face node's point is one dof),
     and the 0/1 ``fold`` adds every local dof onto its joint one.  Read off
-    the first edge, both hold for every edge of the group."""
+    the first edge, both hold for every edge of the group.  The edge points
+    ``P`` (E, nq, 2) and their ``x``, ``y`` come from ``memo_points``."""
 
     def __init__(self, space, sel):
         rule = edge_rule(space.k)
@@ -114,6 +115,7 @@ class _EdgeGroup:
             mesh.y0[self.minus_rows] + self.h * (mside == NORTH)])
         d = np.abs(self.normal[::-1])       # along the edge
         self.P = starts[:, None, :] + self.h[:, None, None] * np.outer(rule.points, d)
+        self.x, self.y = memo_points(self.P)
         (self.Vm, self.Gm, self.Gnm,
          self.Vp, self.Gp, self.Gnp) = _edge_tables(space.k, mside, psub)
 
@@ -123,7 +125,7 @@ class _EdgeGroup:
         and the max-abs diffusion entry over each edge's quadrature points."""
         if K is None:
             return self.Gnm[None], self.Gnp[None], np.ones(len(self.h))
-        Kv = np.asarray(K(self.P[..., 0], self.P[..., 1]), dtype=float)
+        Kv = np.asarray(K(self.x, self.y), dtype=float)
         return (np.einsum("a,eqab,qbi->eqi", self.normal, Kv, self.Gm),
                 np.einsum("a,eqab,qbi->eqi", self.normal, Kv, self.Gp),
                 np.max(np.abs(Kv).reshape(len(self.h), -1), axis=1))
@@ -242,19 +244,6 @@ def assemble_A_theta(space, K=None, penalty=PenaltySpec(), dt=None):
 # ----------------------------------------------------------------------
 # right-hand side
 
-def _problem_data(space, problem, t_n):
-    """The data of one time level at the space's points: f at the cell
-    points, and per edge group g_N or g_D at the edge points (None on
-    interior groups).  :func:`assemble_rhs` and
-    :func:`~egadapt.estimator.compute_indicators` both use it."""
-    tb = space.tables
-    edge_data = {EdgeKind.NEUMANN: problem.g_N, EdgeKind.DIRICHLET: problem.g_D}
-    return (at_points(problem.f, tb.x, tb.y, t_n),
-            [None if g.kind is EdgeKind.INTERIOR else
-             at_points(edge_data[g.kind], g.P[..., 0], g.P[..., 1], t_n)
-             for g in edge_groups(space)])
-
-
 def _scatter(n, parts):
     """Length-n sums of the (indices, values) ``parts``, added one value
     at a time in the order given, as successive ``np.add.at`` calls do."""
@@ -266,17 +255,15 @@ def _scatter(n, parts):
                        minlength=n)
 
 
-def assemble_rhs(space, problem, t_n, penalty=PenaltySpec(), prev=None, dt=None,
-                 data=None):
+def assemble_rhs(space, problem, t_n, penalty=PenaltySpec(), prev=None, dt=None):
     """Load vector: source, boundary data and optional previous-step mass term.
 
     ``prev`` is a (ncells, nq) array of previous-solution values at the
     cell quadrature points; with ``prev`` given, ``dt`` must be the time
-    step.  ``data`` is the problem data at ``t_n`` from
-    :func:`_problem_data`, evaluated here if not given.
+    step.  The data at ``t_n`` is taken at the space's memoised points.
     """
     tb = space.tables
-    F, edge_data = _problem_data(space, problem, t_n) if data is None else data
+    F = at_points(problem.f, tb.x, tb.y, t_n)
     if prev is not None:
         if dt is None:
             raise ValueError("dt is required when a previous state is supplied")
@@ -291,17 +278,16 @@ def assemble_rhs(space, problem, t_n, penalty=PenaltySpec(), prev=None, dt=None,
     parts = [(space.cell_dofs, cells)]
 
     th, al = penalty.theta, penalty.alpha
-    for g, gv in zip(edge_groups(space), edge_data):
+    for g in edge_groups(space):
         if g.kind is EdgeKind.INTERIOR:
             continue
         if g.kind is EdgeKind.NEUMANN:
+            gv = at_points(problem.g_N, g.x, g.y, t_n)
             bloc = np.einsum("e,q,eq,qi->ei", g.h, g.w, gv, g.Vm)
         else:
+            gv = at_points(problem.g_D, g.x, g.y, t_n)
             fm, _, kmax = g.conormal(problem.K)
-            if problem.K is None:
-                flux = np.einsum("q,eq,qi->ei", g.w, gv, g.Gnm)
-            else:
-                flux = np.einsum("q,eq,eqi->ei", g.w, gv, fm)
+            flux = np.einsum("q,eq,eqi->ei", g.w, gv, fm)
             pen = np.einsum("e,q,eq,qi->ei", al * kmax, g.w, gv, g.Vm)
             bloc = th * flux + pen
         parts.append((space.cell_dofs[g.minus_rows], bloc))

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import _problem_data, _scatter, edge_groups
+from .assembly import _scatter, edge_groups
 from .mesh import EdgeKind, SQRT2
+from .problems import at_points
 # unused here, but perfbench/tracing.py wraps this name and fails without it
 from .quadrature import edge_rule  # noqa: F401
 
@@ -120,24 +121,19 @@ def _normal_flux(table, C):
     return np.einsum("eqi,ei->eq", table, C)
 
 
-def compute_indicators(space, field, prev_vals, problem, t_n, dt, alpha,
-                       data=None):
+def compute_indicators(space, field, prev_vals, problem, t_n, dt, alpha):
     """All indicator components on one mesh in a single vectorized pass.
 
     ``prev_vals`` holds previous-solution values at the cell quadrature
     points, shape (ncells, nq), as produced by a transfer evaluator.
-    ``data`` is the problem data at ``t_n`` as
-    :func:`egadapt.assembly.assemble_rhs` takes it, evaluated here if not
-    given.
     """
     tb = space.tables
     ncells = len(tb.sides)
-    F, edge_data = _problem_data(space, problem, t_n) if data is None else data
 
     # f - (p_h - p_prev) / dt + div(K grad p_h), in place on one array
     resid = field.cell_values(0) - prev_vals
     resid /= -dt
-    resid += F
+    resid += at_points(problem.f, tb.x, tb.y, t_n)
     if problem.K is not None:
         resid += _div_k_grad(field, problem.K, problem.K_grad)
     elif space.k == 2:
@@ -151,7 +147,7 @@ def compute_indicators(space, field, prev_vals, problem, t_n, dt, alpha,
     # (cell rows, values) added into eta2_sq, eta3_sq, eta4_sq, eta5_sq
     parts = ([], [], [], [])
     loc = field.coeffs[space.cell_dofs]
-    for g, gv in zip(edge_groups(space), edge_data):
+    for g in edge_groups(space):
         fm, fp, kmax = g.conormal(problem.K)
         Cm = loc[g.minus_rows]
         flux_m = _normal_flux(fm, Cm) / g.h[:, None]
@@ -165,10 +161,11 @@ def compute_indicators(space, field, prev_vals, problem, t_n, dt, alpha,
             parts[0].extend([(g.minus_rows, e2sq), (g.plus_rows, e2sq)])
             parts[2].extend([(g.minus_rows, e4sq), (g.plus_rows, e4sq)])
         elif g.kind is EdgeKind.NEUMANN:
+            gv = at_points(problem.g_N, g.x, g.y, t_n)
             e3sq = g.h ** 4 * ((gv + flux_m) ** 2 @ g.w)
             parts[1].append((g.minus_rows, e3sq))
         else:
-            gap = gv - Cm @ g.Vm.T
+            gap = at_points(problem.g_D, g.x, g.y, t_n) - Cm @ g.Vm.T
             e5sq = kmax ** 2 * g.h ** 2 * (gap ** 2 @ g.w)
             parts[3].append((g.minus_rows, e5sq))
     eta2_sq, eta3_sq, eta4_sq, eta5_sq = (_scatter(ncells, p) for p in parts)

@@ -1,9 +1,10 @@
 """Benchmark problem definitions.
 
 Each problem is a manufactured solution p = T(t) u(x, y), built by
-:func:`_manufactured` from a module-level ``terms(x, y) -> (u, ux, uy,
-lap_u)``: grad p = T grad u, dp/dt = T' u, f = T' u - T Lap(u), g_D = p,
-g_N = 0 and p0 = 0, or p0 = u when steady (T = 1; else T = sin(pi t / 2)).
+:func:`_manufactured` from a module-level ``terms(x, y) -> (u, ux, uy[,
+lap_u])``, where a harmonic u carries no Laplacian: grad p = T grad u,
+dp/dt = T' u, f = T' u - T Lap(u), g_D = p, g_N = 0 and p0 = 0, or p0 = u
+when steady (T = 1; else T = sin(pi t / 2)).
 
 ``example1`` (u = s) and ``example2`` (u = w s, w = (x^2 - 1)(y^2 - 1))
 sit on the L-shaped domain, around the corner-singular harmonic function
@@ -17,11 +18,11 @@ d(phi)/dx: with theta = atan2(y, x) one has phi = -theta (mod 2 pi),
 hence d(phi)/dx = +y/r^2 and d(phi)/dy = -x/r^2.  ``smoke_linear`` is
 the steady u = x + y on the unit square, used by exactness tests.
 
-At a space's cell points (``EGSpace.tables.x``, ``.y``), where the data is
-evaluated again and again, the terms are computed once and kept read-only
-in the points' memo, keyed by the terms function: they live as long as the
-space and are shared by every instance of a problem.  Elsewhere each call
-computes them.
+At a space's cell and edge points (:func:`~egadapt.space.memo_points`),
+where the data is evaluated again and again, the terms are computed once
+and kept read-only in the points' memo, keyed by the terms function: they
+live as long as the space and are shared by every instance of a problem.
+Elsewhere each call computes them.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def _angle(x, y):
 
 
 def _corner_terms(x, y):
-    """s = r^(2/3) sin(2 phi / 3), its Cartesian gradient and Lap(s) = 0.
+    """s = r^(2/3) sin(2 phi / 3) and its Cartesian gradient; s is harmonic.
 
     The gradient entries blow up like r^(-1/3); callers never evaluate them
     at the corner (quadrature points are interior, checks stay at r > 0).
@@ -93,13 +94,13 @@ def _corner_terms(x, y):
     cx, cy = x * inv_r, y * inv_r
     sx = (2.0 / 3.0) * rm13 * (sin23 * cx + cos23 * cy)
     sy = (2.0 / 3.0) * rm13 * (sin23 * cy - cos23 * cx)
-    return s, sx, sy, np.zeros_like(s)
+    return s, sx, sy
 
 
 def _window_terms(x, y):
     """w s with the window w = (x^2 - 1)(y^2 - 1), by the product rule;
     s is harmonic, so Lap(w s) = 2 grad(w) . grad(s) + s Lap(w)."""
-    s, sx, sy, _ = _corner_terms(x, y)
+    s, sx, sy = _corner_terms(x, y)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     w = (x ** 2 - 1.0) * (y ** 2 - 1.0)
@@ -111,9 +112,9 @@ def _window_terms(x, y):
 
 
 def _linear_terms(x, y):
-    """u = x + y."""
+    """u = x + y, harmonic."""
     u = np.asarray(x, dtype=float) + np.asarray(y, dtype=float)
-    return u, np.ones_like(u), np.ones_like(u), np.zeros_like(u)
+    return u, np.ones_like(u), np.ones_like(u)
 
 
 def _tfac(t):
@@ -139,15 +140,15 @@ def _manufactured(name, shape, terms, T_final, steady=False):
         return T(t) * at(x, y)[0]
 
     def grad(x, y, t):
-        _, ux, uy, _ = at(x, y)
+        _, ux, uy, *_ = at(x, y)
         return T(t) * ux, T(t) * uy
 
     def dp_dt(x, y, t):
         return T_dt(t) * at(x, y)[0]
 
     def f(x, y, t):
-        u, _, _, lap_u = at(x, y)
-        return T_dt(t) * u - T(t) * lap_u
+        u, _, _, *lap_u = at(x, y)
+        return T_dt(t) * u - T(t) * lap_u[0] if lap_u else T_dt(t) * u
 
     def zero(x, y, t=None):
         return np.zeros_like(np.asarray(x, dtype=float))

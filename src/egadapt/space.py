@@ -14,10 +14,10 @@ lexicographic (x fastest) order; the per-cell constants follow, ordered by
 cell id.  The LU factor eliminates the dofs in a separate order
 (:meth:`EGSpace.factor_order`), which leaves this numbering unchanged.
 
-A space's cell quadrature points are exposed once, as the read-only
-coordinate arrays ``tables.x`` and ``tables.y``; problem data evaluated
-there can be memoised on them (:meth:`CellPoints.cached`), and that memo
-is freed with the space.
+A space's cell quadrature points, and each edge group's edge points, are
+exposed once as read-only coordinate arrays (:func:`memo_points`);
+problem data evaluated there can be memoised on them
+(:meth:`CellPoints.cached`), and that memo is freed with the space.
 """
 
 from __future__ import annotations
@@ -220,7 +220,7 @@ class EGSpace:
 
 
 class CellPoints(np.ndarray):
-    """Read-only x or y coordinates of a space's cell quadrature points.
+    """Read-only x or y coordinates of a space's cell or edge points.
 
     The x array pairs with its y array and carries a memo for data that
     depends only on the points.  Arrays derived from either one (views,
@@ -253,6 +253,14 @@ class CellPoints(np.ndarray):
         return self._memo[fn]
 
 
+def memo_points(X):
+    """Read-only (x, y) views of the points ``X`` (..., 2), memo on x."""
+    X.setflags(write=False)
+    x, y = (X[..., a].view(CellPoints) for a in (0, 1))
+    x._y, x._memo = y, {}
+    return x, y
+
+
 class _CellTables:
     """Per-space cache of quadrature tables and geometry arrays."""
 
@@ -266,10 +274,7 @@ class _CellTables:
         # physical quadrature points, shape (ncells, nq, 2)
         self.X = (np.column_stack([mesh.x0, mesh.y0])[:, None, :]
                   + self.sides[:, None, None] * rule.points[None, :, :])
-        self.X.setflags(write=False)
-        # the same points as (ncells, nq) coordinate arrays, memo on x
-        self.x, self.y = (self.X[..., a].view(CellPoints) for a in (0, 1))
-        self.x._y, self.x._memo = self.y, {}
+        self.x, self.y = memo_points(self.X)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Smoke tests of the demos that drive the public mesh, assembly and solve
 API, of the names every demo imports, of the benchmark tracer's hooks
-into the library, and of the benchmark workloads' per-step fingerprints."""
+into the library and a traced run, and of the benchmark workloads'
+per-step fingerprints."""
 
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -59,6 +61,32 @@ def test_benchmark_tracer_installs():
                  "from tracing import Tracer; from egadapt import problems; "
                  'Tracer("t").install(problems.example1())'], ROOT)
     assert proc.returncode == 0, proc.stderr
+
+
+_SMOKE = dict(problem="example1", mode="adaptive_full", h0=0.25, tau=2e-3,
+              dt=0.01, T_final=0.05)
+
+
+def test_traced_run_matches_untraced_run():
+    # the benchmark's per-layer mode must time the run, not change it
+    script = (
+        "import dataclasses, json, sys; sys.path.insert(0, 'perfbench')\n"
+        "from tracing import Tracer\n"
+        "from egadapt import RunConfig, by_name, run_timeloop\n"
+        "cfg = RunConfig(**json.loads(sys.argv[1]))\n"
+        "tracer = Tracer('smoke')\n"
+        "problem = tracer.install(by_name(cfg.problem))\n"
+        "reports = tracer.call('driver', run_timeloop, cfg, problem)\n"
+        "print(json.dumps({'reports': [dataclasses.asdict(r) for r in reports],"
+        " 'layers': tracer.layer_metrics()}))\n")
+    proc = _run(["-c", script, json.dumps(_SMOKE)], ROOT)
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(proc.stdout.splitlines()[-1])
+    plain = run_timeloop(RunConfig(**_SMOKE), by_name(_SMOKE["problem"]))
+    assert len(plain) == 5
+    assert traced["reports"] == [dataclasses.asdict(r) for r in plain]
+    assert traced["layers"]["assembly.factor_calls"] > 0
+    assert traced["layers"]["problems.eval_points"] > 0
 
 
 def test_benchmark_fingerprints_hold(tmp_path, monkeypatch):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from egadapt import EGSpace, RunConfig, by_name, problems, run_timeloop
+from egadapt.assembly import edge_groups
+from egadapt.mesh import EdgeKind
 from egadapt.problems import example1, example2, smoke_linear
 from egadapt.space import CellPoints
 
@@ -250,9 +252,11 @@ class TestCellPointCache:
         x, y = space.tables.x, space.tables.y
         for make in (example1, example2, smoke_linear):
             make().f(x, y, 0.5)
-        assert len(x._memo) == 3
+        # u, ux, uy, and lap_u only where u is not harmonic
+        assert {fn: len(v) for fn, v in x._memo.items()} == {
+            problems._corner_terms: 3, problems._window_terms: 4,
+            problems._linear_terms: 3}
         for values in x._memo.values():
-            assert len(values) == 4                  # u, ux, uy, lap_u
             for a in (x, y, *values):
                 with pytest.raises(ValueError):
                     a[0, 0] = 1.0
@@ -261,8 +265,16 @@ class TestCellPointCache:
         space = EGSpace(random_adaptive_mesh(rounds=1, seed=2), 1)
         example1().exact.p(space.tables.x, space.tables.y, 0.5)
         s = space.tables.x._memo[problems._corner_terms][0]
-        refs = [weakref.ref(o) for o in (space, space.tables, s)]
-        del space, s
+        g = next(g for g in edge_groups(space)
+                 if g.kind is EdgeKind.DIRICHLET)
+        example1().g_D(g.x, g.y, 0.5)
+        edge_values = g.x._memo[problems._corner_terms]
+        for a in (g.P, g.x, g.y, *edge_values):
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+        refs = [weakref.ref(o) for o in (space, space.tables, s, g, g.x,
+                                         edge_values[0])]
+        del space, s, g, edge_values
         assert all(r() is None for r in refs)
 
     def test_uniform_run_evaluates_the_cell_grid_once(self, monkeypatch):
@@ -273,9 +285,12 @@ class TestCellPointCache:
                                          h0=0.25, dt=0.01, T_final=0.05))
         assert len(reports) == steps
         grid = 48 * 16       # L-shape cells at h0 = 1/4, 4 x 4 Gauss points
-        # f once for the load vector and the indicators, exact p and grad
-        assert sum(np.size(x) == grid for x in calls) == 3 * steps
+        # f for the load vector and for the indicators, exact p and grad
+        assert sum(np.size(x) == grid for x in calls) == 4 * steps
         assert sum(np.size(x) == grid for x in evaluations) == 1
+        # and each of the 4 Dirichlet edge groups' points once, though the
+        # load and the indicators take g_D there every step
+        assert len(evaluations) == 1 + 4
 
 
 class TestClosedForms:
