@@ -21,8 +21,8 @@ flux, and those entries are exact zeros, never emitted.
 A system is solved for its free dofs, those that are neither hanging
 slaves nor the pinned constant, mapped to the full vector by their
 columns of the space's constraint matrix.  The SuperLU factor takes them
-in the quadtree's nested-dissection order (:meth:`EGSpace.factor_order`)
-instead of a graph heuristic.
+in the quadtree's nested-dissection order (:meth:`EGSpace.factor_order`),
+keeping each diagonal pivot of at least a tenth of its column's maximum.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from scipy.sparse.linalg import splu
 from .mesh import EAST, KINDS, NORMALS, NORTH, SUB_FULL, EdgeKind
 from .problems import at_points
 from .quadrature import edge_rule
-from .space import face_points, memo_points, tabulate
+from .space import _hanging_table, face_points, memo_points, tabulate
 
 
 class SolverError(RuntimeError):
@@ -83,14 +83,34 @@ def _edge_tables(k, mside, psub):
     return tuple(out)
 
 
+@lru_cache(maxsize=32)
+def _joint_pattern(etype):
+    """Read-only (keep, fold) of an edge type: ``keep`` picks the joint
+    dofs from the cells' local dofs, minus then plus, each at its first
+    place, and the 0/1 ``fold`` adds every local dof onto its joint one.
+    A plus face node at a minus face node's point is that one dof."""
+    k, kind, mside, psub = etype
+    d = np.arange((k + 1) ** 2 + 1)
+    if kind is EdgeKind.INTERIOR:
+        # both faces' nodes in the plus cell's square, as in _edge_tables
+        t = np.arange(k + 1) / k
+        at, nodes = (face_points(mside ^ 1, sub, t) for sub in (psub, SUB_FULL))
+        fine, coarse = np.nonzero((at[:, None] == nodes).all(axis=2))
+        face = _hanging_table(k)[0]
+        d = np.concatenate([d, len(d) + d])
+        d[len(d) // 2 + face[mside ^ 1, coarse]] = face[mside, fine]
+    keep = np.flatnonzero(d == np.arange(len(d)))
+    fold = (d[:, None] == keep).astype(float)
+    keep.setflags(write=False)
+    fold.setflags(write=False)
+    return keep, fold
+
+
 class _EdgeGroup:
     """Edges sharing minus side, plus sub-interval and classification, given
     by their ids ``sel``; ``rows`` holds each edge's cell rows, minus then
-    plus (if interior); ``type`` is (k, kind, minus side, plus sub).
-    ``keep`` picks the joint dofs from the cells' local dofs, each at its
-    first place (a plus face node at a minus face node's point is one dof),
-    and the 0/1 ``fold`` adds every local dof onto its joint one.  Read off
-    the first edge, both hold for every edge of the group.  The edge points
+    plus (if interior); ``type`` is (k, kind, minus side, plus sub), which
+    sets ``keep`` and ``fold`` (:func:`_joint_pattern`).  The edge points
     ``P`` (E, nq, 2) and their ``x``, ``y`` come from ``memo_points``."""
 
     def __init__(self, space, sel):
@@ -102,9 +122,7 @@ class _EdgeGroup:
         self.w = rule.weights
         interior = self.kind is EdgeKind.INTERIOR
         self.rows = np.column_stack([e.minus[sel], e.plus[sel]][:1 + interior])
-        d = space.cell_dofs[self.rows[0]].ravel()
-        self.keep = np.sort(np.unique(d, return_index=True)[1])
-        self.fold = (d[:, None] == d[self.keep]).astype(float)
+        self.keep, self.fold = _joint_pattern(self.type)
         self.minus_rows = self.rows[:, 0]
         self.plus_rows = self.rows[:, 1] if interior else None
         self.h = mesh.side[self.minus_rows]
@@ -212,10 +230,12 @@ def _edge_data(etype, fm, fp, kmax, penalty):
 
 @lru_cache(maxsize=64)
 def _constant_K_data(etype, penalty):
-    """Read-only (1, m, m) local matrix of an edge type with K = I."""
+    """Read-only (1, m, m) local matrix of an edge type with K = I, folded
+    onto its joint dofs."""
     k, _, mside, psub = etype
     _, _, Gnm, _, _, Gnp = _edge_tables(k, mside, psub)
-    out = _edge_data(etype, Gnm[None], Gnp[None], np.ones(1), penalty)
+    fold = _joint_pattern(etype)[1]
+    out = fold.T @ _edge_data(etype, Gnm[None], Gnp[None], np.ones(1), penalty) @ fold
     out.setflags(write=False)
     return out
 
@@ -226,8 +246,8 @@ def _edge_blocks(space, K, penalty):
     groups = [g for g in edge_groups(space) if g.kind is not EdgeKind.NEUMANN]
     return ([space.cell_dofs[g.rows].reshape(len(g.h), -1)[:, g.keep]
              for g in groups],
-            (g.fold.T @ (_constant_K_data(g.type, penalty) if K is None else
-                         _edge_data(g.type, *g.conormal(K), penalty)) @ g.fold
+            (_constant_K_data(g.type, penalty) if K is None else
+             g.fold.T @ _edge_data(g.type, *g.conormal(K), penalty) @ g.fold
              for g in groups))
 
 
@@ -300,30 +320,25 @@ def assemble_rhs(space, problem, t_n, penalty=PenaltySpec(), prev=None, dt=None)
 class CondensedSolver:
     """LU factorization of a system restricted to its free dofs.
 
-    The unknowns are the free dofs: every dof that is neither a hanging
-    slave nor the pinned constant below.  The map from them to the full
-    coefficient vector is their columns of the space's constraint matrix,
-    so ``matrix_c = C.T @ matrix @ C`` and a solve rebuilds every slave
-    from its masters.
+    The global constants lie in both the continuous part and the cellwise
+    constants, so the raw matrices are rank-deficient by one; the first
+    cell's constant is pinned to zero, which picks one coefficient vector
+    per solution and leaves the computed function unchanged.  The unknowns
+    are the free dofs, neither hanging slaves nor that pin, in the space's
+    nested-dissection order: column ``i`` of ``C`` is dof ``order[i]``'s
+    column of the constraint matrix, so ``matrix_c = C.T @ matrix @ C``
+    and a solve rebuilds every slave from its masters (and the pin as 0).
 
-    The continuous part and the cellwise constants overlap in the global
-    constants (the sum defining the space is not direct), which makes the
-    raw matrices rank-deficient by one.  The solver therefore always fixes
-    the first cell's constant to zero, selecting the unique coefficient
-    representative of each solution; the discrete space, and therefore the
-    computed function, is unchanged.  That constant is no slave and no
-    slave's master, so its row of ``C`` is empty and it solves to 0.
-
-    The free dofs are taken in the space's nested-dissection order:
-    column ``i`` of ``C`` and row and column ``i`` of ``matrix_c`` belong
-    to dof ``order[i]``.  SuperLU keeps that column order
-    (``permc_spec="NATURAL"``) and pivots rows at its default threshold.
-    A solve refines iteratively and raises :class:`SolverError` unless
-    the residual comes within ``residual_tol`` of the load (a NaN or
-    infinite residual never does).
-
-    ``key`` is stored as given; callers that keep the factor across
-    solves use it to record what the matrix was assembled from.
+    SuperLU keeps that column order (``permc_spec="NATURAL"``) and every
+    diagonal pivot of at least a tenth of its column's largest entry
+    (``diag_pivot_thresh=0.1``): element growth stays bounded, and the
+    order's fill bound holds except where a row is still exchanged, in a
+    few SIPG columns (partial pivoting exchanged rows in a sixth of the Q2
+    benchmark's columns and grew L + U by 58%).  A solve refines
+    iteratively and raises :class:`SolverError` unless the residual comes
+    within ``residual_tol`` of the load (a NaN or infinite residual never
+    does).  ``key`` is stored as given; callers that keep the factor
+    across solves use it to record what the matrix was assembled from.
     """
 
     #: relative residual a solve must reach after iterative refinement
@@ -332,14 +347,24 @@ class CondensedSolver:
     def __init__(self, matrix, space, key=None):
         self.space = space
         self.key = key
+        n, pin = space.n_dofs, space.n_cg
         order = space.factor_order()
-        fixed = np.zeros(space.n_dofs, dtype=bool)
-        fixed[space.slaves] = fixed[space.n_cg] = True
+        fixed = np.zeros(n, dtype=bool)
+        fixed[space.slaves] = fixed[pin] = True
         self.order = order[~fixed[order]]
-        self.C = space.constraint_matrix[:, self.order]
+        # the constraint matrix's columns relabelled by place in ``order``:
+        # a slave's is empty, and the pin's one entry is dropped
+        C = space.constraint_matrix
+        col = np.full(n, -1, dtype=C.indices.dtype)
+        col[self.order] = np.arange(len(self.order))
+        at = C.indptr[pin]
+        self.C = sparse.csr_matrix(
+            (np.delete(C.data, at), col[np.delete(C.indices, at)],
+             C.indptr - (np.arange(n + 1) > pin)), shape=(n, len(self.order)))
         self.matrix_c = (self.C.T @ matrix @ self.C).tocsc()
         try:
-            self.lu = splu(self.matrix_c, permc_spec="NATURAL")
+            self.lu = splu(self.matrix_c, permc_spec="NATURAL",
+                           diag_pivot_thresh=0.1)
         except RuntimeError as exc:
             raise SolverError(
                 f"sparse LU failed on a {self.matrix_c.shape[0]} dof system: "

@@ -34,9 +34,9 @@ _POLICIES = {"uniform": dict(tau=math.inf, theta_coarse=0.0),
 class RunConfig:
     """Flat description of one experiment."""
 
-    problem: str = ""
-    mode: str = ""                   # uniform | adaptive_pure_refine | adaptive_full
-    h0: float = 0.0
+    problem: str | None = None       # required, as are mode and h0
+    mode: str | None = None          # uniform | adaptive_pure_refine | adaptive_full
+    h0: float | None = None
     k: int = 1
     theta: int = 0
     alpha: float = 1.0
@@ -52,10 +52,15 @@ class RunConfig:
     snapshot_times: tuple = (0.1, 0.25, 0.5)
 
     def validate(self):
-        if self.problem not in problems._REGISTRY:
-            raise ConfigError(f"unknown problem '{self.problem}'")
-        if self.mode not in _POLICIES:
-            raise ConfigError(f"unknown mode '{self.mode}'")
+        for name, allowed in (("problem", sorted(problems._REGISTRY)),
+                              ("mode", list(_POLICIES)), ("h0", None)):
+            value = getattr(self, name)
+            one_of = f"; one of {', '.join(allowed)}" if allowed else ""
+            if value is None:
+                raise ConfigError(f"missing required option '{name}' (flag "
+                                  f"--{name}, config key '{name}'){one_of}")
+            if allowed and value not in allowed:
+                raise ConfigError(f"unknown {name} '{value}'{one_of}")
         if self.k not in (1, 2):
             raise ConfigError(f"k must be 1 or 2, got {self.k}")
         if not self.dt > 0:

@@ -279,6 +279,15 @@ def edge_matrix(space, edge, K=None, penalty=PenaltySpec()):
     return dofs, _edge_data(group.type, *group.conormal(K), penalty)[0]
 
 
+def joint_dofs(space, group):
+    """(keep, fold) of an edge group, read off its first edge's global
+    dofs: each joint dof at its first place among the cells' local dofs,
+    and the 0/1 map of every local dof onto its joint one."""
+    d = space.cell_dofs[group.rows[0]].ravel()
+    keep = np.sort(np.unique(d, return_index=True)[1])
+    return keep, (d[:, None] == d[keep]).astype(float)
+
+
 # ----------------------------------------------------------------------
 # load vector and indicators, scattered by one np.add.at per block
 

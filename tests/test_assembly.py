@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
 from egadapt import (CondensedSolver, DiscreteField, DomainShape, EdgeKind,
                      EGSpace, PenaltySpec, SolverError, TransferredField,
@@ -17,7 +17,8 @@ from egadapt.mesh import SUB_FULL
 from egadapt.space import _hanging_table
 
 from conftest import random_adaptive_mesh
-from reference import assemble_rhs_add_at, edge_matrix, edges, evaluate
+from reference import (assemble_rhs_add_at, edge_matrix, edges, evaluate,
+                       joint_dofs)
 from test_mesh import HISTORIES, _random_history
 
 
@@ -206,15 +207,17 @@ class TestGlobalAssembly:
             cell = [(getattr(a.tables, n), getattr(b.tables, n)) for n in "NGH"]
             edge = [(getattr(g, n), getattr(h, n))
                     for g, h in zip(edge_groups(a), edge_groups(c))
-                    for n in ("Vm", "Gm", "Gnm", "Vp", "Gp", "Gnp")]
-            # the constant-K edge matrices, matched by edge type across the
-            # two meshes
+                    for n in ("Vm", "Gm", "Gnm", "Vp", "Gp", "Gnp",
+                              "keep", "fold")]
+            # the constant-K edge matrices, folded onto the joint dofs and
+            # matched by edge type across the two meshes
             shared = {}
             for sp in (a, b):
                 for g in edge_groups(sp):
                     if g.kind is not EdgeKind.NEUMANN:
-                        shared.setdefault(g.type, []).append(
-                            _constant_K_data(g.type, pen))
+                        L = _constant_K_data(g.type, pen)
+                        assert L.shape == (1, len(g.keep), len(g.keep))
+                        shared.setdefault(g.type, []).append(L)
             pairs = [got for got in shared.values() if len(got) == 2]
             assert len(pairs) >= 4
             for x, y in cell + edge + pairs:
@@ -259,7 +262,7 @@ class TestJointDofs:
     @settings(max_examples=16, deadline=None, derandomize=True)
     @given(k=st.sampled_from([1, 2]), **HISTORIES)
     def test_fold_joins_equal_dofs_only(self, k, shape, ops, seed):
-        # the fold is read off a group's first edge; it must hold on all
+        # the fold is set by the edge type; it must hold on every edge
         s = EGSpace(_random_history(shape, ops, seed), k)
         nloc = s.cell_dofs.shape[1]
         for g in edge_groups(s):
@@ -277,6 +280,20 @@ class TestJointDofs:
                 shared = k + (g.type[3] == SUB_FULL)
             assert len(g.keep) == d.shape[1] - shared
 
+    @settings(max_examples=16, deadline=None, derandomize=True)
+    @given(k=st.sampled_from([1, 2]), **HISTORIES)
+    def test_type_pattern_matches_first_edge(self, k, shape, ops, seed):
+        # keep and fold are built once per edge type; they must be what the
+        # group's first edge gives in this space
+        s = EGSpace(_random_history(shape, ops, seed), k)
+        for g in edge_groups(s):
+            keep, fold = joint_dofs(s, g)
+            assert np.array_equal(g.keep, keep)
+            assert np.array_equal(g.fold, fold)
+            for a in (g.keep, g.fold):
+                with pytest.raises(ValueError):
+                    a[(0,) * a.ndim] = 1
+
     @pytest.mark.parametrize("k, entries", [(1, 12), (2, 28)])
     def test_conforming_blocks_cancel_exactly(self, k, entries):
         # with K = I and theta = 0 only the rows of the two constants are
@@ -286,7 +303,7 @@ class TestJointDofs:
         pen = PenaltySpec(1.0, 0)
         for g in edge_groups(s):
             if g.kind is EdgeKind.INTERIOR:
-                L = g.fold.T @ _constant_K_data(g.type, pen) @ g.fold
+                L = _constant_K_data(g.type, pen)    # folded already
                 assert np.count_nonzero(L) == entries
 
 
@@ -426,6 +443,24 @@ class TestConstraintMatrix:
         assert x[s.n_cg] == 0.0
         assert np.array_equal(x[s.slaves], (s.constraint_matrix @ x)[s.slaves])
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_free_dof_map_is_the_column_slice(self, k):
+        # the map relabels the constraint matrix's columns in place of a
+        # column slice; both it and the condensed matrix must be unchanged
+        s = EGSpace(random_adaptive_mesh(seed=4), k)
+        assert len(s.slaves)
+        S = euler_matrix(s, theta=-1)
+        solver = CondensedSolver(S, s)
+        C = s.constraint_matrix[:, solver.order]
+        expect = (C.T @ S @ C).tocsc()
+        for got, want in ((solver.C, C), (solver.matrix_c, expect)):
+            got, want = got.copy(), want.copy()
+            got.sort_indices()
+            want.sort_indices()
+            assert got.shape == want.shape
+            for a in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, a), getattr(want, a))
+
     def test_factoring_leaves_the_space_intact(self):
         s = EGSpace(random_adaptive_mesh(seed=4), 1)
         S = euler_matrix(s)
@@ -523,6 +558,21 @@ class TestSolve:
         expect = C @ spsolve(ref, C.T @ b)
         got = CondensedSolver(S, s).solve(b)
         assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("theta", [-1, 0, 1])
+    @pytest.mark.parametrize("seed", [0, 3, 5])
+    def test_threshold_pivoting_keeps_the_order(self, k, theta, seed):
+        # a diagonal pivot of at least a tenth of its column's largest entry
+        # is kept, so the nested-dissection order fills in no more than
+        # under partial pivoting; with theta = 0 no row is exchanged
+        s = EGSpace(random_adaptive_mesh(seed=seed), k)
+        solver = CondensedSolver(euler_matrix(s, theta), s)
+        partial = splu(solver.matrix_c, permc_spec="NATURAL")
+        assert solver.lu.nnz <= partial.nnz
+        if theta == 0:
+            assert np.array_equal(solver.lu.perm_r,
+                                  np.arange(len(solver.order)))
 
     def test_non_finite_load_raises(self):
         s = EGSpace(build_initial(DomainShape.UNIT_SQUARE, 0.25), 1)

@@ -89,6 +89,13 @@ def test_traced_run_matches_untraced_run():
     assert traced["layers"]["problems.eval_points"] > 0
 
 
+#: per workload, the factorizations of a run and a bound on their summed
+#: LU nnz: a pivot or ordering change that adds fill shows here
+_FILL = {"example2_q2": (55, 2_400_000),
+         "tolerance_q1": (28, 4_730_971),
+         "uniform_h64": (1, 4_475_325)}
+
+
 def test_benchmark_fingerprints_hold(tmp_path, monkeypatch):
     # every benchmark workload, configured as its probe configures it, must
     # reproduce the stored per-step fingerprint the benchmark checks; a
@@ -96,12 +103,26 @@ def test_benchmark_fingerprints_hold(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     from probe import COMMON, WORKLOADS, _fingerprint
     from run import compare_fingerprint
-    failed = {}
+    from egadapt.assembly import CondensedSolver
+    factors = []
+    real_init = CondensedSolver.__init__
+
+    def counted(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        factors.append(self.lu.nnz)
+
+    monkeypatch.setattr(CondensedSolver, "__init__", counted)
+    failed, fill = {}, {}
     for name, workload in WORKLOADS.items():
         cfg = RunConfig(output_dir=str(tmp_path / name), **COMMON,
                         **workload["config"])
+        factors.clear()
         reports = run_timeloop(cfg, by_name(cfg.problem))
+        fill[name] = (len(factors), sum(factors))
         with open(ROOT / "perfbench" / "reference" / f"{name}.json") as fh:
             reference = json.load(fh)["steps"]
         failed[name] = compare_fingerprint(reference, _fingerprint(reports))
     assert failed == dict.fromkeys(WORKLOADS, 0)
+    for name, (calls, bound) in _FILL.items():
+        assert fill[name][0] == calls, name
+        assert fill[name][1] <= bound, (name, fill[name][1])

@@ -421,6 +421,25 @@ class TestCliFailsFast:
         assert not out.exists()
         assert capsys.readouterr().out.startswith("configuration error:")
 
+    @pytest.mark.parametrize("given, missing", [
+        ((), "problem"),
+        (("--problem", "example1"), "mode"),
+        (("--problem", "example1", "--mode", "uniform"), "h0")])
+    def test_missing_required_option_is_named(self, given, missing, tmp_path,
+                                              capsys):
+        out = tmp_path / "out"
+        rc = cli_main([*given, "--output-dir", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        msg = capsys.readouterr().out
+        assert msg.startswith(f"configuration error: missing required option "
+                              f"'{missing}'")
+        assert f"flag --{missing}," in msg and f"config key '{missing}'" in msg
+        allowed = {"problem": ("example1", "example2", "smoke_linear"),
+                   "mode": ("uniform", "adaptive_pure_refine",
+                            "adaptive_full"), "h0": ()}[missing]
+        assert all(name in msg for name in allowed)
+
     def test_finest_allowed_cycle_passes_validation(self):
         RunConfig(problem="smoke_linear", mode="uniform", h0=0.5,
                   cycles=10).validate()
