@@ -9,14 +9,15 @@ constant-identity diffusion tensor each group of congruent edges shares a
 single local matrix, built once per process.  Edges are grouped by (kind,
 minus side, plus-side sub-interval), cells are processed in one batch.
 
-Reference cell and edge tables are cached, read-only, per degree, side
-and sub-interval.  Each matrix is assembled in one pass: the nonzero local
-entries go into one triplet set sized up front, converted to CSR once.
-Given a time step, the cell blocks take the scaled mass, and M / dt +
-A_theta is one pass.  Edge blocks are emitted on the cells' joint dofs: a
-plus face node at a minus face node's point is that global dof.  There a
-conforming face's continuous part has no jump, nor with K = I an average
-flux, and those entries are exact zeros, never emitted.
+Reference tables are cached read-only: the cell basis per degree, and the
+edge basis with its joint-dof pattern per edge type.  Each matrix is
+assembled in one pass: the nonzero local entries go into one triplet set
+sized up front, converted to CSR once.  Given a time step, the cell blocks
+take the scaled mass, and M / dt + A_theta is one pass.  Edge blocks are
+emitted on the cells' joint dofs: a plus face node at a minus face node's
+point is that global dof.  There a conforming face's continuous part has
+no jump, nor with K = I an average flux, and those entries are exact
+zeros, never emitted.
 
 A system is solved for its free dofs, those that are neither hanging
 slaves nor the pinned constant, mapped to the full vector by their
@@ -30,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -68,31 +69,27 @@ class PenaltySpec:
 # ----------------------------------------------------------------------
 # edge groups
 
-@lru_cache(maxsize=32)
-def _edge_tables(k, mside, psub):
-    """Read-only (Vm, Gm, Gnm, Vp, Gp, Gnp) at the edge rule's points:
-    values, reference gradients and normal derivatives of the basis on the
-    minus cell's face and on the plus cell's opposite (sub-)face."""
+@cache
+def _edge_type(etype):
+    """Read-only (Vm, Gm, Gnm, Vp, Gp, Gnp, keep, fold) of an edge type
+    (k, kind, minus side, plus sub).
+
+    The first six are the values, reference gradients and normal
+    derivatives of the basis at the edge rule's points, on the minus
+    cell's face and on the plus cell's opposite (sub-)face.  ``keep``
+    picks the joint dofs from the cells' local dofs, minus then plus, each
+    at its first place, and the 0/1 ``fold`` adds every local dof onto its
+    joint one: a plus face node at a minus face node's point is that dof.
+    """
+    k, kind, mside, psub = etype
     t = edge_rule(k).points
     out = []
     for side, sub in ((mside, SUB_FULL), (mside ^ 1, psub)):
         V, G, _ = tabulate(k, face_points(side, sub, t))
         out += [V, G, np.einsum("a,qai->qi", NORMALS[mside], G)]
-    for a in out:
-        a.setflags(write=False)
-    return tuple(out)
-
-
-@lru_cache(maxsize=32)
-def _joint_pattern(etype):
-    """Read-only (keep, fold) of an edge type: ``keep`` picks the joint
-    dofs from the cells' local dofs, minus then plus, each at its first
-    place, and the 0/1 ``fold`` adds every local dof onto its joint one.
-    A plus face node at a minus face node's point is that one dof."""
-    k, kind, mside, psub = etype
     d = np.arange((k + 1) ** 2 + 1)
     if kind is EdgeKind.INTERIOR:
-        # both faces' nodes in the plus cell's square, as in _edge_tables
+        # both faces' nodes in the plus cell's square, as tabulated above
         t = np.arange(k + 1) / k
         at, nodes = (face_points(mside ^ 1, sub, t) for sub in (psub, SUB_FULL))
         fine, coarse = np.nonzero((at[:, None] == nodes).all(axis=2))
@@ -100,18 +97,19 @@ def _joint_pattern(etype):
         d = np.concatenate([d, len(d) + d])
         d[len(d) // 2 + face[mside ^ 1, coarse]] = face[mside, fine]
     keep = np.flatnonzero(d == np.arange(len(d)))
-    fold = (d[:, None] == keep).astype(float)
-    keep.setflags(write=False)
-    fold.setflags(write=False)
-    return keep, fold
+    out += [keep, (d[:, None] == keep).astype(float)]
+    for a in out:
+        a.setflags(write=False)
+    return tuple(out)
 
 
 class _EdgeGroup:
     """Edges sharing minus side, plus sub-interval and classification, given
     by their ids ``sel``; ``rows`` holds each edge's cell rows, minus then
     plus (if interior); ``type`` is (k, kind, minus side, plus sub), which
-    sets ``keep`` and ``fold`` (:func:`_joint_pattern`).  The edge points
-    ``P`` (E, nq, 2) and their ``x``, ``y`` come from ``memo_points``."""
+    sets the shared reference tables, ``keep`` and ``fold``
+    (:func:`_edge_type`).  The edge points ``P`` (E, nq, 2) and their
+    ``x``, ``y`` come from ``memo_points``."""
 
     def __init__(self, space, sel):
         rule = edge_rule(space.k)
@@ -122,7 +120,6 @@ class _EdgeGroup:
         self.w = rule.weights
         interior = self.kind is EdgeKind.INTERIOR
         self.rows = np.column_stack([e.minus[sel], e.plus[sel]][:1 + interior])
-        self.keep, self.fold = _joint_pattern(self.type)
         self.minus_rows = self.rows[:, 0]
         self.plus_rows = self.rows[:, 1] if interior else None
         self.h = mesh.side[self.minus_rows]
@@ -134,8 +131,8 @@ class _EdgeGroup:
         d = np.abs(self.normal[::-1])       # along the edge
         self.P = starts[:, None, :] + self.h[:, None, None] * np.outer(rule.points, d)
         self.x, self.y = memo_points(self.P)
-        (self.Vm, self.Gm, self.Gnm,
-         self.Vp, self.Gp, self.Gnp) = _edge_tables(space.k, mside, psub)
+        (self.Vm, self.Gm, self.Gnm, self.Vp, self.Gp, self.Gnp,
+         self.keep, self.fold) = _edge_type(self.type)
 
     def conormal(self, K):
         """(fm, fp, kmax): n . K grad of the basis on the reference edge from
@@ -215,8 +212,8 @@ def _edge_data(etype, fm, fp, kmax, penalty):
     Normal fluxes are taken on the reference edge, where the edge length
     cancels against the gradient scaling.
     """
-    k, kind, mside, psub = etype
-    Vm, _, _, Vp, _, _ = _edge_tables(k, mside, psub)
+    k, kind, _, psub = etype
+    Vm, _, _, Vp = _edge_type(etype)[:4]
     w, th, al = edge_rule(k).weights, penalty.theta, penalty.alpha
     interior = kind is EdgeKind.INTERIOR
     J = np.hstack([Vm, -Vp]) if interior else Vm
@@ -232,9 +229,7 @@ def _edge_data(etype, fm, fp, kmax, penalty):
 def _constant_K_data(etype, penalty):
     """Read-only (1, m, m) local matrix of an edge type with K = I, folded
     onto its joint dofs."""
-    k, _, mside, psub = etype
-    _, _, Gnm, _, _, Gnp = _edge_tables(k, mside, psub)
-    fold = _joint_pattern(etype)[1]
+    _, _, Gnm, _, _, Gnp, _, fold = _edge_type(etype)
     out = fold.T @ _edge_data(etype, Gnm[None], Gnp[None], np.ones(1), penalty) @ fold
     out.setflags(write=False)
     return out
@@ -347,20 +342,11 @@ class CondensedSolver:
     def __init__(self, matrix, space, key=None):
         self.space = space
         self.key = key
-        n, pin = space.n_dofs, space.n_cg
         order = space.factor_order()
-        fixed = np.zeros(n, dtype=bool)
-        fixed[space.slaves] = fixed[pin] = True
+        fixed = np.zeros(space.n_dofs, dtype=bool)
+        fixed[space.slaves] = fixed[space.n_cg] = True
         self.order = order[~fixed[order]]
-        # the constraint matrix's columns relabelled by place in ``order``:
-        # a slave's is empty, and the pin's one entry is dropped
-        C = space.constraint_matrix
-        col = np.full(n, -1, dtype=C.indices.dtype)
-        col[self.order] = np.arange(len(self.order))
-        at = C.indptr[pin]
-        self.C = sparse.csr_matrix(
-            (np.delete(C.data, at), col[np.delete(C.indices, at)],
-             C.indptr - (np.arange(n + 1) > pin)), shape=(n, len(self.order)))
+        self.C = space.constraint_matrix[:, self.order]
         self.matrix_c = (self.C.T @ matrix @ self.C).tocsc()
         try:
             self.lu = splu(self.matrix_c, permc_spec="NATURAL",

@@ -16,14 +16,13 @@ cell id.  The LU factor eliminates the dofs in a separate order
 
 A space's cell quadrature points, and each edge group's edge points, are
 exposed once as read-only coordinate arrays (:func:`memo_points`);
-problem data evaluated there can be memoised on them
-(:meth:`CellPoints.cached`), and that memo is freed with the space.
+problem data evaluated there is memoised on them (:meth:`CellPoints.cached`)
+as the terms function's own read-only arrays, freed with the space.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -234,22 +233,16 @@ class CellPoints(np.ndarray):
         """``fn(self, y)``, a tuple of arrays shaped like the points.
 
         If ``(self, y)`` are one space's (x, y), the result is computed
-        once and kept read-only in one block of its own anonymous memory
-        mapping, freed with the space.  Outside the malloc heap it cannot
-        sit between the large short-lived buffers of successive LU
-        factorizations and keep the heap from reusing their room (kept in
-        the heap, it raised an adaptive run's peak RSS by about 10%).
+        once and kept in the memo as the arrays ``fn`` returned, set
+        read-only, and freed with the space.
         """
         if self._memo is None or y is not self._y:
             return fn(self, y)
         if fn not in self._memo:
             values = fn(self, y)
-            size = len(values) * self.size
-            block = np.frombuffer(mmap.mmap(-1, 8 * size)).reshape(
-                (len(values),) + self.shape)
-            block[...] = values
-            block.setflags(write=False)
-            self._memo[fn] = tuple(block)
+            for a in values:
+                a.setflags(write=False)
+            self._memo[fn] = values
         return self._memo[fn]
 
 

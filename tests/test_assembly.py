@@ -225,6 +225,26 @@ class TestGlobalAssembly:
                 with pytest.raises(ValueError):
                     x[(0,) * x.ndim] = 1.0
 
+    def test_edge_type_data_survives_the_other_degree(self):
+        # one entry per edge type, whatever else the process builds
+        mixed = build_initial(DomainShape.L_SHAPE, 0.5, {
+            "left": "N", "right": "D", "bottom": "N", "top": "D",
+            "inner_vertical": "N", "inner_horizontal": "D"})
+        meshes = (random_adaptive_mesh(seed=3),
+                  mixed.refine(mixed.active_ids[::3]))
+
+        def by_type(k):
+            return {g.type: (g.keep, g.fold, g.Vm) for m in meshes
+                    for g in edge_groups(EGSpace(m, k))}
+
+        before = by_type(1)
+        by_type(2)
+        after = by_type(1)
+        assert {t[1] for t in before} == set(EdgeKind)
+        assert before.keys() == after.keys() and len(before) >= 17
+        for t, got in after.items():
+            assert all(a is b for a, b in zip(before[t], got)), t
+
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("mesh", sorted(ORACLE_MESHES))
     def test_fused_system_matches_mass_plus_form(self, mesh, k):
@@ -445,8 +465,8 @@ class TestConstraintMatrix:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_free_dof_map_is_the_column_slice(self, k):
-        # the map relabels the constraint matrix's columns in place of a
-        # column slice; both it and the condensed matrix must be unchanged
+        # the map is the constraint matrix's free-dof columns, in factor
+        # order, and the condensed matrix its Galerkin product
         s = EGSpace(random_adaptive_mesh(seed=4), k)
         assert len(s.slaves)
         S = euler_matrix(s, theta=-1)

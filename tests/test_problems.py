@@ -277,6 +277,27 @@ class TestCellPointCache:
         del space, s, g, edge_values
         assert all(r() is None for r in refs)
 
+    def test_memo_entry_is_the_terms_own_arrays(self):
+        space = EGSpace(random_adaptive_mesh(rounds=1, seed=2), 1)
+        x, y = space.tables.x, space.tables.y
+        returned = []
+
+        def terms(x, y):
+            returned.append(problems._corner_terms(x, y))
+            return returned[-1]
+
+        first = x.cached(y, terms)
+        again = x.cached(y, terms)
+        assert len(returned) == 1 and len(first) == len(again) == 3
+        for a, b, c in zip(returned[0], first, again):
+            assert a is b and b is c
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+        refs = [weakref.ref(o) for o in (space, *first)]
+        returned.clear()
+        del space, x, y, first, again, a, b, c
+        assert all(r() is None for r in refs)
+
     def test_uniform_run_evaluates_the_cell_grid_once(self, monkeypatch):
         calls = _record_calls(monkeypatch, CellPoints, "cached")
         evaluations = _record_calls(monkeypatch, problems, "_corner_terms")
