@@ -37,7 +37,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .mesh import EAST, KINDS, NORMALS, NORTH, SUB_FULL, EdgeKind
+from .mesh import KINDS, NORMALS, SUB_FULL, EdgeKind
 from .problems import at_points
 from .quadrature import edge_rule
 from .space import _hanging_table, face_points, memo_points, tabulate
@@ -108,8 +108,9 @@ class _EdgeGroup:
     by their ids ``sel``; ``rows`` holds each edge's cell rows, minus then
     plus (if interior); ``type`` is (k, kind, minus side, plus sub), which
     sets the shared reference tables, ``keep`` and ``fold``
-    (:func:`_edge_type`).  The edge points ``P`` (E, nq, 2) and their
-    ``x``, ``y`` come from ``memo_points``."""
+    (:func:`_edge_type`).  The edge points ``P`` (E, nq, 2) are the edge
+    rule on the minus faces (``Mesh.points`` of ``face_points``), read-only
+    with their ``x``, ``y`` from ``memo_points``."""
 
     def __init__(self, space, sel):
         rule = edge_rule(space.k)
@@ -125,11 +126,8 @@ class _EdgeGroup:
         self.h = mesh.side[self.minus_rows]
         self.fac = 1.0 if psub == SUB_FULL else 2.0
         self.normal = np.asarray(NORMALS[mside])
-        starts = np.column_stack([
-            mesh.x0[self.minus_rows] + self.h * (mside == EAST),
-            mesh.y0[self.minus_rows] + self.h * (mside == NORTH)])
-        d = np.abs(self.normal[::-1])       # along the edge
-        self.P = starts[:, None, :] + self.h[:, None, None] * np.outer(rule.points, d)
+        self.P = mesh.points(face_points(mside, SUB_FULL, rule.points),
+                             self.minus_rows)
         self.x, self.y = memo_points(self.P)
         (self.Vm, self.Gm, self.Gnm, self.Vp, self.Gp, self.Gnp,
          self.keep, self.fold) = _edge_type(self.type)

@@ -331,4 +331,7 @@ def cli_main(argv=None):
     except SolverError as exc:
         print(f"solver failure: {exc}")
         return 3
+    except OSError as exc:
+        print(f"configuration error: cannot write output: {exc}")
+        return 2
     return 0

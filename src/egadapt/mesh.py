@@ -15,8 +15,9 @@ history.  A mesh is immutable, and its state is the sorted int64 array of
 its active cell ids, besides the domain, ``h0``, the boundary partition and
 the root grid.  Levels, grid positions, coordinates, neighbors and edges
 are derived from the ids by integer arithmetic; coordinates are exact
-dyadic numbers.  The mesh offers no per-cell or per-edge objects: every
-quantity is an array over the active cells or over ``edge_arrays``.
+dyadic numbers.  There are no per-cell or per-edge objects, only arrays;
+:meth:`Mesh.points` places reference points in cells, and
+:meth:`Mesh.lattice_points` numbers the lattice points that cells share.
 """
 
 from __future__ import annotations
@@ -91,19 +92,6 @@ def all_dirichlet(shape):
     return {name: "D" for name in BOUNDARY_FACES[shape]}
 
 
-def first_encounter(keys):
-    """Number equal keys in order of first occurrence in ``keys.ravel()``.
-
-    Returns the number of every key, shaped like ``keys``, and for every
-    number the flat index of its first occurrence.
-    """
-    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return rank[inv].reshape(np.shape(keys)), first[order]
-
-
 class EdgeArrays(NamedTuple):
     """All edges as parallel arrays in edge-id order: ascending minus cell,
     then sides W, E, S, N.  ``minus``/``plus`` are rows of the active cells
@@ -164,7 +152,8 @@ class Mesh:
 
     Construct with :func:`build_initial`; derive finer/coarser meshes with
     :meth:`refine` and :meth:`coarsen`.  The per-cell arrays ``level``,
-    ``i``, ``j``, ``x0``, ``y0`` and ``side`` follow ``active_ids``.
+    ``i``, ``j``, ``x0``, ``y0`` and ``side`` follow ``active_ids``; other
+    modules place points by :meth:`points` and :meth:`lattice_points`.
     """
 
     def __init__(self, shape, h0, partition, roots, ids):
@@ -256,17 +245,33 @@ class Mesh:
         nid[inside] = self._ids_at(level[inside], i[inside], j[inside])
         return side, inside, nid
 
-    def lattice_keys(self, k, offsets):
-        """Integer keys of the points (x0 + a side / k, y0 + b side / k) of
-        every active cell, one column per offset (a, b) with 0 <= a, b <= k.
-        Equal keys mark equal points."""
+    def points(self, ref, rows=slice(None)):
+        """``(x0, y0) + side * ref`` (cells, n, 2) in the cells ``rows`` for
+        reference points ``ref`` of [0, 1]^2, (n, 2) or (cells, n, 2)."""
+        corner = np.column_stack([self.x0[rows], self.y0[rows]])
+        return corner[:, None, :] + self.side[rows, None, None] * ref
+
+    def lattice_points(self, k, offsets):
+        """Number the points ``(x0, y0) + side * (a, b) / k`` of the active
+        cells, one column per offset (a, b) in [0, k]^2, equal points once
+        (exact keys on the finest grid) in first-encounter order: cells by
+        row, then offsets as given.  Returns the numbers (cells, offsets),
+        each number's coordinates (n, 2), and its first (row, offset)."""
         shift = (self.max_level - self.level)[:, None]
-        a, b = np.asarray(offsets).T
+        offsets = np.asarray(offsets)
+        a, b = offsets.T
         width = (k * len(self._table) << self.max_level) + 1
         if width > 2 ** 31:
             raise MeshError("mesh too deep for 64-bit lattice keys")
-        return (((k * self.i[:, None] + a) << shift) * width
+        keys = (((k * self.i[:, None] + a) << shift) * width
                 + ((k * self.j[:, None] + b) << shift))
+        _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        row, off = np.divmod(first[order], len(offsets))
+        coords = self.points((offsets / k)[off, None], row)[:, 0]
+        return rank[inv].reshape(keys.shape), coords, (row, off)
 
     def morton_ranges(self):
         """First and last Morton index (inclusive) of the squares of the

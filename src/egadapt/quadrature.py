@@ -39,11 +39,10 @@ def gauss_1d(n):
     return QuadratureRule((x + 1.0) / 2.0, w / 2.0, 2 * n - 1)
 
 
-def _count(k):
-    # floor of 4 points per direction: the target solutions are not
-    # polynomial (r^(2/3) corner behavior), so extra points cut the
-    # consistency error at negligible cost
-    return max(k + 2, 4)
+# 4 points per direction for both degrees, more than k + 2: the target
+# solutions are not polynomial (r^(2/3) corner behavior), so extra points
+# cut the consistency error at negligible cost
+_POINTS = 4
 
 
 @lru_cache(maxsize=2)
@@ -51,7 +50,7 @@ def cell_rule(k):
     """Tensor-product rule on [0,1]^2 for degree-k elements (k in {1,2})."""
     if k not in (1, 2):
         raise ValueError(f"polynomial degree must be 1 or 2, got {k}")
-    g = gauss_1d(_count(k))
+    g = gauss_1d(_POINTS)
     x, y = np.meshgrid(g.points, g.points, indexing="ij")
     pts = np.column_stack([x.ravel(), y.ravel()])
     w = np.outer(g.weights, g.weights).ravel()
@@ -62,5 +61,5 @@ def edge_rule(k):
     """Rule on the reference edge [0,1] for degree-k elements."""
     if k not in (1, 2):
         raise ValueError(f"polynomial degree must be 1 or 2, got {k}")
-    return gauss_1d(_count(k))
+    return gauss_1d(_POINTS)
 

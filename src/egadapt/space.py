@@ -7,8 +7,8 @@ neighbor's face polynomial.  The constant part is left fully
 discontinuous; inter-element jumps of the constants are handled by the
 interior-penalty terms of the bilinear form.
 
-DoF numbering is deterministic: Lagrange nodes are numbered from integer
-lattice keys (exact node positions on the finest level's grid) in first
+DoF numbering is deterministic: the Lagrange nodes are the mesh's degree-k
+lattice points (:meth:`Mesh.lattice_points`), numbered in first
 encounter order, sweeping active cells by ascending id and local nodes in
 lexicographic (x fastest) order; the per-cell constants follow, ordered by
 cell id.  The LU factor eliminates the dofs in a separate order
@@ -28,8 +28,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy import sparse
 
-from .mesh import (SOUTH, SUB_FULL, SUB_HIGH, SUB_LOW, MeshError,
-                   first_encounter)
+from .mesh import SOUTH, SUB_FULL, SUB_HIGH, SUB_LOW, WEST, MeshError
 from .quadrature import cell_rule
 
 
@@ -104,8 +103,8 @@ def _hanging_table(k):
     m = np.arange(k + 1)
     face = np.array([m * (k + 1), k + m * (k + 1), m, k * (k + 1) + m])
     li, weights = np.zeros(3, dtype=np.int64), np.zeros((3, k + 1))
-    for sub, base in ((SUB_LOW, 0.0), (SUB_HIGH, 0.5)):
-        t = base + 0.5 * m / k
+    for sub in (SUB_LOW, SUB_HIGH):
+        t = face_points(WEST, sub, m / k)[:, 1]
         (li[sub],) = np.flatnonzero(t * k % 1)
         weights[sub] = shape_1d(k, t[li[sub]])[0]
     return face, li, weights
@@ -128,13 +127,8 @@ class EGSpace:
     def _enumerate_dofs(self):
         mesh, k = self.mesh, self.k
         offsets = [(a, b) for b in range(k + 1) for a in range(k + 1)]
-        nodes, first = first_encounter(mesh.lattice_keys(k, offsets))
-        row, loc = np.divmod(first, len(offsets))
-        a, b = np.array(offsets).T / k
-        self.node_coords = np.column_stack([
-            mesh.x0[row] + a[loc] * mesh.side[row],
-            mesh.y0[row] + b[loc] * mesh.side[row]])
-        self.n_cg = len(first)
+        nodes, self.node_coords, _ = mesh.lattice_points(k, offsets)
+        self.n_cg = len(self.node_coords)
         self.n_const = mesh.n_active
         self.n_dofs = self.n_cg + self.n_const
         self.cell_dofs = np.column_stack(
@@ -265,8 +259,7 @@ class _CellTables:
         self.w = rule.weights
         self.sides = mesh.side
         # physical quadrature points, shape (ncells, nq, 2)
-        self.X = (np.column_stack([mesh.x0, mesh.y0])[:, None, :]
-                  + self.sides[:, None, None] * rule.points[None, :, :])
+        self.X = mesh.points(rule.points)
         self.x, self.y = memo_points(self.X)
 
 
@@ -289,6 +282,8 @@ class DiscreteField:
         Returns arrays over all active cells in id order: (C, nq) for
         values, (C, nq, 2) for gradients, (C, nq, 2, 2) for hessians.
         """
+        if deriv not in (0, 1, 2):
+            raise ValueError(f"deriv must be 0, 1 or 2, got {deriv}")
         t = self.space.tables
         loc = self.coeffs[self.space.cell_dofs]
         if deriv == 0:

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import first_encounter
-
 #: cell corners (a, b) in counterclockwise order SW, SE, NE, NW
 _CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
 #: width and height of an SVG drawing, in user units
@@ -41,15 +39,11 @@ def _lines(fmt, values, per_line=1):
 
 
 def _vtk_grid(mesh):
-    """The grid of the active cells, shared by a snapshot's VTK files:
-    the text from the dataset line to the cell types, and each corner
-    point's first (row, corner).  Points are the unique cell corners in
-    first-encounter order; cells are CCW quads."""
-    quads, first = first_encounter(mesh.lattice_keys(1, _CORNERS))
-    row, corner = np.divmod(first, 4)
-    a, b = np.array(_CORNERS, dtype=float).T
-    points = np.column_stack([mesh.x0[row] + a[corner] * mesh.side[row],
-                              mesh.y0[row] + b[corner] * mesh.side[row]])
+    """The grid of the active cells, shared by a snapshot's VTK files: the
+    text from the dataset line to the cell types, and each point's first
+    (row, corner).  Points are the cell corners as the mesh's degree-1
+    lattice points (:meth:`Mesh.lattice_points`); cells are CCW quads."""
+    quads, points, (row, corner) = mesh.lattice_points(1, _CORNERS)
     text = "".join([
         f"DATASET UNSTRUCTURED_GRID\nPOINTS {len(points)} double\n",
         _lines("%.12g %.12g 0\n", points, 2),

@@ -11,10 +11,11 @@ from egadapt import (CondensedSolver, DiscreteField, DomainShape, EdgeKind,
                      EGSpace, PenaltySpec, SolverError, TransferredField,
                      assemble_A_theta, assemble_mass, assemble_rhs,
                      assemble_stiffness, broken_h1_error, build_initial,
-                     example1, galerkin_residual, interpolate, smoke_linear)
+                     edge_rule, example1, galerkin_residual, interpolate,
+                     smoke_linear)
 from egadapt.assembly import _constant_K_data, edge_groups
 from egadapt.mesh import SUB_FULL
-from egadapt.space import _hanging_table
+from egadapt.space import _hanging_table, face_points
 
 from conftest import random_adaptive_mesh
 from reference import (assemble_rhs_add_at, edge_matrix, edges, evaluate,
@@ -693,6 +694,27 @@ def _traces(field, rows, P):
                     (pts - (mesh.x0[r], mesh.y0[r])) / mesh.side[r])
            for r, pts in zip(rows, P)]
     return np.array([o[0] for o in out]), np.array([o[1] for o in out])
+
+
+class TestEdgePoints:
+    @pytest.mark.parametrize("shape", [DomainShape.L_SHAPE,
+                                       DomainShape.UNIT_SQUARE])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_both_sides_of_an_interior_edge_see_its_points(self, k, seed,
+                                                           shape):
+        """The edge points, placed on the minus cell's face, are the plus
+        cell's opposite (sub-)face points too: the traces tabulated from
+        both cells meet at the same physical points."""
+        mesh = random_adaptive_mesh(shape, rounds=3, seed=seed)
+        t = edge_rule(k).points
+        groups = [g for g in edge_groups(EGSpace(mesh, k))
+                  if g.kind is EdgeKind.INTERIOR]
+        assert any(g.type[3] != SUB_FULL for g in groups)   # hanging edges
+        for g in groups:
+            _, _, mside, psub = g.type
+            plus = mesh.points(face_points(mside ^ 1, psub, t), g.plus_rows)
+            assert np.max(np.abs(g.P - plus)) <= 1e-15
 
 
 class TestMassBalance:

@@ -396,6 +396,20 @@ class TestCliFailsFast:
         assert rc == 2
         assert capsys.readouterr().out.startswith("configuration error:")
 
+    @pytest.mark.parametrize("taken", ["mesh_c1_t0.1.svg", "steps_c1.csv"])
+    def test_unwritable_output_file_exits_2(self, taken, tmp_path, capsys):
+        (tmp_path / taken).mkdir()
+        rc = cli_main(["--problem", "smoke_linear", "--mode", "uniform",
+                       "--h0", "0.25", "--dt", "0.05", "--T", "0.2",
+                       "--snapshot-times", "0.1", "--output-dir", str(tmp_path)])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out.startswith("configuration error: cannot write output:")
+        assert "Traceback" not in out + err
+        if taken != "steps_c1.csv":
+            lines = (tmp_path / "steps_c1.csv").read_text().splitlines()
+            assert len(lines) == 3     # header plus the steps before t = 0.1
+
     def test_oversized_cycles_rejected_before_first_cycle(
             self, tmp_path, monkeypatch, capsys):
         # cycle 11 halves h0 = 1/2 ten times: a 2048 x 2048 root grid

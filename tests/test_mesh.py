@@ -167,6 +167,20 @@ class TestInvariants:
         assert np.all(m.side[coarse] == 2 * m.side[fine])
         assert np.all(m.level[coarse] == m.level[fine] - 1)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_lattice_points_number_equal_points_once(self, k):
+        m = random_adaptive_mesh(rounds=3, seed=2)
+        offsets = [(a, b) for b in range(k + 1) for a in range(k + 1)]
+        numbers, coords, (row, off) = m.lattice_points(k, offsets)
+        every = m.points(np.array(offsets) / k)
+        assert np.array_equal(coords[numbers], every)
+        assert len(np.unique(coords, axis=0)) == len(coords)
+        # number n first appears at its (row, off), after every lower number
+        values, first = np.unique(numbers, return_index=True)
+        assert np.array_equal(values, np.arange(len(coords)))
+        assert np.array_equal(first, row * len(offsets) + off)
+        assert np.all(np.diff(first) > 0)
+
     def test_h_min_tracks_refinement(self):
         m = build_initial(DomainShape.UNIT_SQUARE, 0.5)
         assert m.h_min == 0.5

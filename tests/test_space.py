@@ -315,6 +315,12 @@ class TestBatchedEvaluate:
             scale = np.max(np.abs(want[deriv]))
             assert np.max(np.abs(got - want[deriv])) <= 1e-13 * scale
 
+    @pytest.mark.parametrize("deriv", [-1, 3])
+    def test_cell_values_rejects_other_derivatives(self, deriv):
+        s = EGSpace(build_initial(DomainShape.UNIT_SQUARE, 0.5), 1)
+        with pytest.raises(ValueError, match="deriv"):
+            DiscreteField(s, np.zeros(s.n_dofs)).cell_values(deriv)
+
 
 class TestBrokenH1:
     def test_exact_reproduction(self):
