@@ -76,16 +76,19 @@ def _edge_type(etype):
 
     The first six are the values, reference gradients and normal
     derivatives of the basis at the edge rule's points, on the minus
-    cell's face and on the plus cell's opposite (sub-)face.  ``keep``
-    picks the joint dofs from the cells' local dofs, minus then plus, each
-    at its first place, and the 0/1 ``fold`` adds every local dof onto its
-    joint one: a plus face node at a minus face node's point is that dof.
+    cell's face and on the plus cell's opposite (sub-)face, the plus
+    derivatives on the minus cell's scale (halved, exactly, on a
+    half-edge, where the plus cell is twice as large).  ``keep`` picks the
+    joint dofs from the cells' local dofs, minus then plus, each at its
+    first place, and the 0/1 ``fold`` adds every local dof onto its joint
+    one: a plus face node at a minus face node's point is that dof.
     """
     k, kind, mside, psub = etype
     t = edge_rule(k).points
     out = []
     for side, sub in ((mside, SUB_FULL), (mside ^ 1, psub)):
         V, G, _ = tabulate(k, face_points(side, sub, t))
+        G = G if sub == SUB_FULL else G / 2
         out += [V, G, np.einsum("a,qai->qi", NORMALS[mside], G)]
     d = np.arange((k + 1) ** 2 + 1)
     if kind is EdgeKind.INTERIOR:
@@ -124,7 +127,6 @@ class _EdgeGroup:
         self.minus_rows = self.rows[:, 0]
         self.plus_rows = self.rows[:, 1] if interior else None
         self.h = mesh.side[self.minus_rows]
-        self.fac = 1.0 if psub == SUB_FULL else 2.0
         self.normal = np.asarray(NORMALS[mside])
         self.P = mesh.points(face_points(mside, SUB_FULL, rule.points),
                              self.minus_rows)
@@ -210,13 +212,12 @@ def _edge_data(etype, fm, fp, kmax, penalty):
     Normal fluxes are taken on the reference edge, where the edge length
     cancels against the gradient scaling.
     """
-    k, kind, _, psub = etype
+    k, kind = etype[:2]
     Vm, _, _, Vp = _edge_type(etype)[:4]
     w, th, al = edge_rule(k).weights, penalty.theta, penalty.alpha
     interior = kind is EdgeKind.INTERIOR
     J = np.hstack([Vm, -Vp]) if interior else Vm
-    fac = 1.0 if psub == SUB_FULL else 2.0
-    avg = 0.5 * np.concatenate([fm, fp / fac], axis=2) if interior else fm
+    avg = 0.5 * np.concatenate([fm, fp], axis=2) if interior else fm
     return (-np.einsum("q,qi,eqj->eij", w, J, avg)
             + th * np.einsum("q,eqi,qj->eij", w, avg, J)
             + al * kmax[:, None, None]

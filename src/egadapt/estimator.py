@@ -153,7 +153,7 @@ def compute_indicators(space, field, prev_vals, problem, t_n, dt, alpha):
         flux_m = _normal_flux(fm, Cm) / g.h[:, None]
         if g.kind is EdgeKind.INTERIOR:
             Cp = loc[g.plus_rows]
-            flux_p = _normal_flux(fp, Cp) / (g.fac * g.h[:, None])
+            flux_p = _normal_flux(fp, Cp) / g.h[:, None]
             fj = flux_m - flux_p
             vj = Cm @ g.Vm.T - Cp @ g.Vp.T
             e2sq = g.h ** 4 * (fj ** 2 @ g.w)

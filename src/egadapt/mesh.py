@@ -13,10 +13,11 @@ Cell ids encode the tree position (child (kx, ky) of cell p has id
 ``nroots + 4*p + kx + 2*ky``), so an id is stable across any refine/coarsen
 history.  A mesh is immutable, and its state is the sorted int64 array of
 its active cell ids, besides the domain, ``h0``, the boundary partition and
-the root grid.  Levels, grid positions, coordinates, neighbors and edges
-are derived from the ids by integer arithmetic; coordinates are exact
-dyadic numbers.  There are no per-cell or per-edge objects, only arrays;
-:meth:`Mesh.points` places reference points in cells, and
+the root grid.  Levels, grid positions and coordinates are derived from
+the ids by integer arithmetic (coordinates are exact dyadic numbers), and
+cells are found by one binary search over their Morton ranges
+(:meth:`Mesh.rows_at`).  There are no per-cell or per-edge objects, only
+arrays; :meth:`Mesh.points` places reference points in cells, and
 :meth:`Mesh.lattice_points` numbers the lattice points that cells share.
 """
 
@@ -42,12 +43,9 @@ SUB_FULL, SUB_LOW, SUB_HIGH = 0, 1, 2
 #: outward unit normal of each side
 NORMALS = ((-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0))
 
-# grid offset of the face neighbor across each side
+# grid direction of the face neighbor across each side
 _DI = np.array([-1, 1, 0, 0])
 _DJ = np.array([0, 0, -1, 1])
-# child positions (kx, ky) of the face neighbor that touch each of our sides
-_KX = np.array([[1, 1], [0, 0], [0, 1], [0, 1]])
-_KY = np.array([[0, 1], [0, 1], [1, 1], [0, 0]])
 # child positions (kx, ky) in id order
 _QUAD = (np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1]))
 # boundary face of a side, indexed by 2 * side + (on the bounding box)
@@ -114,17 +112,12 @@ _SPREAD = ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
            (1, 0x5555555555555555))
 
 
-def _spread_bits(v):
+def _morton(i, j):
+    """Morton index of grid positions (i, j) below 2**31: the bits of i at
+    the even places, those of j at the odd ones."""
     for s, mask in _SPREAD:
-        v = (v | (v << s)) & mask
-    return v
-
-
-def _rows_in(act, ids):
-    """Rows of ``ids`` in the sorted id array ``act``; -1 where absent."""
-    ids = np.asarray(ids, dtype=np.int64)
-    pos = np.minimum(np.searchsorted(act, ids), len(act) - 1)
-    return np.where(act[pos] == ids, pos, -1)
+        i, j = (i | (i << s)) & mask, (j | (j << s)) & mask
+    return i | (j << 1)
 
 
 #: most root cells along one side of the root grid: h0 >= 2**-9 on the
@@ -153,17 +146,18 @@ class Mesh:
     Construct with :func:`build_initial`; derive finer/coarser meshes with
     :meth:`refine` and :meth:`coarsen`.  The per-cell arrays ``level``,
     ``i``, ``j``, ``x0``, ``y0`` and ``side`` follow ``active_ids``; other
-    modules place points by :meth:`points` and :meth:`lattice_points`.
+    modules place points by :meth:`points` and :meth:`lattice_points`, and
+    find the cells at finest-grid squares by :meth:`rows_at`.
     """
 
     def __init__(self, shape, h0, partition, roots, ids):
         self.shape = shape
         self.h0 = h0
         self.partition = dict(partition)
-        # the root grid: root ids by position [ri, rj] (-1 outside the
-        # domain), and the position (ri, rj) of each root id
+        # the root grid: root cells per side, and the position (ri, rj) of
+        # each root id
         self._roots = roots
-        self._table, self._root_i, self._root_j = roots
+        self._grid, self._root_i, self._root_j = roots
         self._nroots = len(self._root_i)
         self.bbox = ((0.0, 0.0, 1.0, 1.0) if shape is DomainShape.UNIT_SQUARE
                      else (-1.0, -1.0, 1.0, 1.0))     # (xmin, ymin, xmax, ymax)
@@ -186,7 +180,10 @@ class Mesh:
 
     def active_rows(self, ids):
         """Rows of ``ids`` in ``active_ids``; -1 where an id is not active."""
-        return _rows_in(self.active_ids, ids)
+        ids = np.asarray(ids, dtype=np.int64)
+        act = self.active_ids
+        pos = np.minimum(np.searchsorted(act, ids), len(act) - 1)
+        return np.where(act[pos] == ids, pos, -1)
 
     def is_active(self, cid):
         return bool(self.active_rows(cid) >= 0)
@@ -219,32 +216,6 @@ class Mesh:
         return (level, i + (self._root_i[cur] << level),
                 j + (self._root_j[cur] << level))
 
-    def _ids_at(self, level, i, j):
-        """Ids of the cells at in-domain positions (level, i, j)."""
-        cur = self._table[i >> level, j >> level]
-        for b in range(int(level.max(initial=0)) - 1, -1, -1):
-            cur = np.where(level > b,
-                           self.child_ids(cur, (i >> b) & 1, (j >> b) & 1), cur)
-        return cur
-
-    def _in_domain(self, level, i, j):
-        n = len(self._table)
-        ri, rj = i >> level, j >> level
-        inside = (ri >= 0) & (ri < n) & (rj >= 0) & (rj < n)
-        return inside & (self._table[np.clip(ri, 0, n - 1),
-                                     np.clip(rj, 0, n - 1)] >= 0)
-
-    def _neighbors(self, level, i, j):
-        """Same-level face neighbors of the cells at (level, i, j), four per
-        cell in side order: (side, in-domain flag, neighbor id or -1)."""
-        level, i, j = (np.repeat(a, 4) for a in (level, i, j))
-        side = np.tile(np.arange(4), len(level) // 4)
-        i, j = i + _DI[side], j + _DJ[side]
-        inside = self._in_domain(level, i, j)
-        nid = np.full(len(side), -1, dtype=np.int64)
-        nid[inside] = self._ids_at(level[inside], i[inside], j[inside])
-        return side, inside, nid
-
     def points(self, ref, rows=slice(None)):
         """``(x0, y0) + side * ref`` (cells, n, 2) in the cells ``rows`` for
         reference points ``ref`` of [0, 1]^2, (n, 2) or (cells, n, 2)."""
@@ -260,7 +231,7 @@ class Mesh:
         shift = (self.max_level - self.level)[:, None]
         offsets = np.asarray(offsets)
         a, b = offsets.T
-        width = (k * len(self._table) << self.max_level) + 1
+        width = (k * self._grid << self.max_level) + 1
         if width > 2 ** 31:
             raise MeshError("mesh too deep for 64-bit lattice keys")
         keys = (((k * self.i[:, None] + a) << shift) * width
@@ -278,47 +249,59 @@ class Mesh:
         finest level's grid that each active cell covers.
 
         The root grid's side is a power of two, so the bounding box is one
-        quadtree: a Morton index interleaves the bits of the grid position,
-        x at the even places, and every cell covers one aligned range.
+        quadtree: a Morton index interleaves the bits of the grid position
+        (:func:`_morton`), and every cell covers one aligned range.  The
+        ranges find the cells across the edges and the transfer's donors
+        (:meth:`rows_at`), and order the factor (``EGSpace.factor_order``).
         """
-        if len(self._table) << self.max_level > 2 ** 31:
+        if self._grid << self.max_level > 2 ** 31:
             raise MeshError("mesh too deep for 64-bit Morton indices")
         shift = self.max_level - self.level
-        lo = _spread_bits(self.i << shift) | (_spread_bits(self.j << shift) << 1)
+        lo = _morton(self.i << shift, self.j << shift)
         return lo, lo + (1 << 2 * shift) - 1
+
+    def rows_at(self, m):
+        """Rows of the active cells that cover the finest-grid squares with
+        Morton indices ``m``; -1 where no cell does (outside the domain)."""
+        lo, hi = self.morton_ranges()
+        order = np.argsort(lo)
+        # the last range starting at or below m; below the first one, the
+        # index -1 picks the last cell, which starts above m
+        pos = order[np.searchsorted(lo, m, side="right", sorter=order) - 1]
+        return np.where((lo[pos] <= m) & (m <= hi[pos]), pos, -1)
 
     # ------------------------------------------------------------------
     # edges
 
     def _build_edges(self):
-        side, inside, nid = self._neighbors(self.level, self.i, self.j)
+        """Each side probes the finest square across its low end: the cell
+        there is one level coarser (a half-edge), as fine (an edge emitted
+        by the lower row), finer (whose sides emit it) or absent (boundary)."""
+        side = np.tile(np.arange(4), self.n_active)
         minus = np.repeat(np.arange(self.n_active), 4)
-        plus = self.active_rows(nid)
-        same = plus >= 0
-        # a coarser neighbor is the active parent of the same-level position
-        up = np.flatnonzero(inside & ~same)
-        plus[up] = self.active_rows(self.parent_ids(nid[up])[0])
-        hanging = inside & ~same & (plus >= 0)
-        # otherwise the neighbors are finer: the two children by the face
-        fine = up[plus[up] < 0]
-        kids = self.child_ids(nid[fine, None], _KX[side[fine]], _KY[side[fine]])
-        if np.any(self.active_rows(kids) < 0):
+        shift = np.repeat(self.max_level - self.level, 4)
+        step = np.where(side & 1, 1 << shift, 1)
+        i = (self.i[minus] << shift) + _DI[side] * step
+        j = (self.j[minus] << shift) + _DJ[side] * step
+        n = self._grid << self.max_level
+        off = (i < 0) | (i >= n) | (j < 0) | (j >= n)
+        plus = np.where(off, -1, self.rows_at(_morton(i % n, j % n)))
+        inner = plus >= 0
+        up = np.where(inner, self.level[plus] - self.level[minus], 0)
+        if np.any(np.abs(up) > 1):
             raise MeshError("1-irregularity violated during edge build")
+        hanging = up == -1
 
-        # grid coordinates across and along each side
-        i, j = np.repeat(self.i, 4), np.repeat(self.j, 4)
-        across, along = np.where(side < SOUTH, i, j), np.where(side < SOUTH, j, i)
-        n = len(self._table) << np.repeat(self.level, 4)
-        face = 2 * side + np.where(side & 1, across + 1 == n, across == 0)
+        face = 2 * side + off
         kind = np.full(len(side), _INTERIOR)
-        for f in np.unique(face[~inside]):
-            kind[~inside & (face == f)] = KINDS.index(
+        for f in np.unique(face[~inner]):
+            kind[~inner & (face == f)] = KINDS.index(
                 EdgeKind.DIRICHLET if self.partition[_FACES[f]] == "D"
                 else EdgeKind.NEUMANN)
         # a half-edge covers the low or high half of the coarse face
+        along = np.where(side < SOUTH, self.j[minus], self.i[minus])
         sub = np.where(hanging, SUB_LOW + (along & 1), SUB_FULL)
-        emit = np.flatnonzero(~inside | hanging
-                              | (same & (self.active_ids[minus] < nid)))
+        emit = np.flatnonzero(~inner | hanging | ((up == 0) & (minus < plus)))
         return EdgeArrays(minus[emit], plus[emit], side[emit], sub[emit],
                           kind[emit], hanging[emit])
 
@@ -350,51 +333,43 @@ class Mesh:
         return self._rebuild(np.sort(np.concatenate(
             [self.active_ids[~split], kids.ravel()])))
 
-    def _blocked(self, act, parents):
-        """Which parents may not replace their children in the active id
-        array ``act``: those with an active face neighbor two or more
-        levels below the parent, or a neighbor two or more levels above."""
-        side, inside, nid = self._neighbors(*self._positions(parents))
-        nid, side = nid[inside], side[inside]
-        kids = self.child_ids(nid[:, None], _KX[side], _KY[side])
-        covered = ((_rows_in(act, kids) >= 0)
-                   | (_rows_in(act, nid) >= 0)[:, None]
-                   | (_rows_in(act, self.parent_ids(nid)[0]) >= 0)[:, None])
-        bad = np.zeros(len(inside), dtype=bool)
-        bad[inside] = ~covered.all(axis=1)
-        return bad.reshape(-1, 4).any(axis=1)
-
     def coarsen(self, marked):
         """Replace complete marked sibling quadruples by their parents.
 
         Marks that cannot be honored (incomplete quadruples, root cells, or
         quadruples whose removal would break 1-irregularity) are dropped; the
-        dropped count is logged.  A coarsening only ever unblocks others, so
-        passes apply every unblocked quadruple until none is left.  When no
-        quadruple is removed the mesh itself is returned, so callers can
-        detect an unchanged mesh by identity.
+        dropped count is logged.  A quadruple waits while a child is the
+        coarse cell of a half-edge whose fine cell's quadruple is not applied;
+        passes apply every quadruple that waits on none until none is left.
+        When no quadruple is removed the mesh itself is returned, so callers
+        can detect an unchanged mesh by identity.
         """
         rows = self._marked_rows(marked, "coarsen")
         parents = self.parent_ids(self.active_ids[rows])[0]
-        cand, count = np.unique(parents[parents >= 0], return_counts=True)
-        cand = cand[count == 4]
-        act, applied = self.active_ids, 0
-        while len(cand):
-            blocked = self._blocked(act, cand)
-            done = cand[~blocked]
-            if not len(done):
+        cand, inv, count = np.unique(parents, return_inverse=True,
+                                     return_counts=True)
+        # each cell's quadruple, an index into cand; len(cand) for none,
+        # which is never applied
+        quad = np.full(self.n_active, len(cand))
+        quad[rows] = inv
+        legal = np.append((count == 4) & (cand >= 0), False)
+        e = self.edge_arrays
+        waits, on = quad[e.plus[e.hanging]], quad[e.minus[e.hanging]]
+        done = np.zeros(len(legal), dtype=bool)
+        while True:
+            free = legal & ~done
+            free[waits[~done[on]]] = False
+            if not free.any():
                 break
-            kids = self.child_ids(done[:, None], *_QUAD).ravel()
-            act = np.sort(np.concatenate(
-                [np.setdiff1d(act, kids, assume_unique=True), done]))
-            applied += len(done)
-            cand = cand[blocked]
+            done |= free
+        applied = int(done.sum())
         dropped = len(rows) - 4 * applied
         if dropped:
             logger.debug("coarsen: %d of %d marks dropped", dropped, len(rows))
         if not applied:
             return self
-        return self._rebuild(act)
+        return self._rebuild(np.sort(np.concatenate(
+            [self.active_ids[~done[quad]], cand[done[:-1]]])))
 
     def _rebuild(self, ids):
         return Mesh(self.shape, self.h0, self.partition, self._roots, ids)
@@ -426,6 +401,4 @@ def build_initial(shape, h0, partition=None):
     if shape is DomainShape.L_SHAPE:
         inside[n // 2:, n // 2:] = False
     rj, ri = np.nonzero(inside)
-    table = np.full((n, n), -1, dtype=np.int64)
-    table[ri, rj] = np.arange(len(ri))
-    return Mesh(shape, h0, partition, (table, ri, rj), np.arange(len(ri)))
+    return Mesh(shape, h0, partition, (n, ri, rj), np.arange(len(ri)))

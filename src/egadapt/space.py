@@ -340,20 +340,14 @@ class TransferredField:
         coeffs = self.field.coeffs
         out = np.empty((tgt.n_active, len(ref_pts)))
 
-        # same and finer cells: climb to the active donor ancestor, keeping
-        # the cell's depth below it and its integer position (ix, iy) on
-        # that depth's grid of the ancestor's reference square
+        # same and finer cells: the donor cell at the cell's first finest
+        # square is the cell itself or an ancestor, depth levels up; the
+        # cell's position (ix, iy) on that depth's grid of the donor cell
         ids = tgt.active_ids
-        cur = ids.copy()
-        depth = np.zeros(len(ids), dtype=np.int64)
-        drow = src.active_rows(cur)
-        for _ in range(tgt.max_level):
-            todo = np.flatnonzero((drow < 0) & (cur >= 0))
-            if not len(todo):
-                break
-            cur[todo] = src.parent_ids(cur[todo])[0]
-            depth[todo] += 1
-            drow[todo] = src.active_rows(cur[todo])
+        lo, shift = tgt.morton_ranges()[0], 2 * (tgt.max_level - src.max_level)
+        drow = src.rows_at(lo >> shift if shift > 0 else lo << -shift)
+        depth = tgt.level - src.level[drow]
+        drow[depth < 0] = -1
         hit = np.flatnonzero(drow >= 0)
         if len(hit):
             d = depth[hit]

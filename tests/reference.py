@@ -12,10 +12,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from egadapt import EdgeKind, MeshError, edge_rule
+from egadapt import EdgeKind, MeshError, build_initial, edge_rule
 from egadapt.assembly import PenaltySpec, _edge_data, _EdgeGroup, edge_groups
 from egadapt.estimator import _div_k_grad, _normal_flux
-from egadapt.mesh import EAST, KINDS, NORMALS, NORTH, SOUTH, SQRT2, SUB_FULL
+from egadapt.mesh import (_FACES, EAST, KINDS, NORMALS, NORTH, SOUTH, SQRT2,
+                          SUB_FULL, SUB_LOW, EdgeArrays)
 from egadapt.problems import at_points
 from egadapt.space import face_points, tabulate
 
@@ -107,6 +108,66 @@ def edges(mesh, interior=None):
                 np.array((0.0, 1.0) if s < SOUTH else (1.0, 0.0)),
                 np.array(NORMALS[s])))
     return out
+
+
+# ----------------------------------------------------------------------
+# edges by walking cell ids down from the root grid
+
+#: grid offset of the face neighbor across each side
+_DI, _DJ = np.array([-1, 1, 0, 0]), np.array([0, 0, -1, 1])
+#: child positions (kx, ky) of the face neighbor that touch each side
+_KX = np.array([[1, 1], [0, 0], [0, 1], [0, 1]])
+_KY = np.array([[0, 1], [0, 1], [1, 1], [0, 0]])
+
+
+def edge_arrays_by_walk(mesh):
+    """``mesh.edge_arrays`` from cell ids alone.  Each side's same-level
+    neighbor position is walked down from the root grid to an id; the
+    cell across is that id, its parent (a half-edge) or, if neither is
+    active, its two children by the face (which emit the edge)."""
+    roots = build_initial(mesh.shape, mesh.h0)
+    n = int(round((mesh.bbox[2] - mesh.bbox[0]) / mesh.h0))
+    table = np.full((n, n), -1, dtype=np.int64)
+    table[roots.i, roots.j] = roots.active_ids
+
+    level, i, j = (np.repeat(a, 4) for a in (mesh.level, mesh.i, mesh.j))
+    side = np.tile(np.arange(4), mesh.n_active)
+    ni, nj = i + _DI[side], j + _DJ[side]
+    ri, rj = ni >> level, nj >> level
+    inside = (ri >= 0) & (ri < n) & (rj >= 0) & (rj < n)
+    inside[inside] = table[ri[inside], rj[inside]] >= 0
+    lv, wi, wj = level[inside], ni[inside], nj[inside]
+    cur = table[wi >> lv, wj >> lv]
+    for b in range(int(lv.max(initial=0)) - 1, -1, -1):
+        cur = np.where(lv > b,
+                       mesh.child_ids(cur, (wi >> b) & 1, (wj >> b) & 1), cur)
+    nid = np.full(len(side), -1, dtype=np.int64)
+    nid[inside] = cur
+
+    minus = np.repeat(np.arange(mesh.n_active), 4)
+    plus = mesh.active_rows(nid)
+    same = plus >= 0
+    up = np.flatnonzero(inside & ~same)
+    plus[up] = mesh.active_rows(mesh.parent_ids(nid[up])[0])
+    hanging = inside & ~same & (plus >= 0)
+    fine = up[plus[up] < 0]
+    kids = mesh.child_ids(nid[fine, None], _KX[side[fine]], _KY[side[fine]])
+    if np.any(mesh.active_rows(kids) < 0):
+        raise MeshError("1-irregularity violated during edge build")
+
+    across = np.where(side < SOUTH, i, j)
+    along = np.where(side < SOUTH, j, i)
+    face = 2 * side + np.where(side & 1, across + 1 == n << level, across == 0)
+    kind = np.full(len(side), KINDS.index(EdgeKind.INTERIOR))
+    for f in np.unique(face[~inside]):
+        kind[~inside & (face == f)] = KINDS.index(
+            EdgeKind.DIRICHLET if mesh.partition[_FACES[f]] == "D"
+            else EdgeKind.NEUMANN)
+    sub = np.where(hanging, SUB_LOW + (along & 1), SUB_FULL)
+    emit = np.flatnonzero(~inside | hanging
+                          | (same & (mesh.active_ids[minus] < nid)))
+    return EdgeArrays(minus[emit], plus[emit], side[emit], sub[emit],
+                      kind[emit], hanging[emit])
 
 
 # ----------------------------------------------------------------------
@@ -346,7 +407,7 @@ def indicators_add_at(space, field, prev_vals, problem, t_n, dt):
         flux_m = _normal_flux(fm, Cm) / g.h[:, None]
         if g.kind is EdgeKind.INTERIOR:
             Cp = coeffs[space.cell_dofs[g.plus_rows]]
-            flux_p = _normal_flux(fp, Cp) / (g.fac * g.h[:, None])
+            flux_p = _normal_flux(fp, Cp) / g.h[:, None]
             fj = flux_m - flux_p
             vj = Cm @ g.Vm.T - Cp @ g.Vp.T
             e2sq = g.h ** 4 * (fj ** 2 @ g.w)

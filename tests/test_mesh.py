@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from egadapt import (ConfigError, DomainShape, EdgeKind, EGSpace, MeshError,
                      build_initial)
-from egadapt.mesh import EAST, KINDS, NORMALS, NORTH, SOUTH
+from egadapt.mesh import BOUNDARY_FACES, EAST, KINDS, NORMALS, NORTH, SOUTH
 
 from conftest import random_adaptive_mesh
-from reference import locate
+from reference import edge_arrays_by_walk, locate
 
 DIRICHLET, NEUMANN = (KINDS.index(k) for k in (EdgeKind.DIRICHLET,
                                                 EdgeKind.NEUMANN))
@@ -262,11 +262,11 @@ class TestLocate:
         assert m.y0[m.active_rows(locate(m, 0.5, 0.0))] == -0.5
 
 
-def _random_history(shape, ops, seed):
+def _random_history(shape, ops, seed, partition=None):
     """Mesh after random refine/coarsen rounds from a coarse initial mesh;
     a coarsen round marks the active children of randomly picked parents."""
     rng = np.random.default_rng(seed)
-    mesh = build_initial(shape, 0.5)
+    mesh = build_initial(shape, 0.5, partition)
     for op in ops:
         ids = np.asarray(mesh.active_ids)
         if op == "refine":
@@ -306,6 +306,40 @@ class TestRandomHistories:
         d = centers(m)[e.plus[inner]] - centers(m)[e.minus[inner]]
         assert np.all(np.sum(d * np.take(NORMALS, e.side[inner], axis=0),
                              axis=1) > 0)
+
+    @settings(max_examples=24, deadline=None, derandomize=True)
+    @given(kinds=st.lists(st.sampled_from("DN"), min_size=6, max_size=6),
+           **HISTORIES)
+    def test_edge_arrays_match_the_id_walk(self, kinds, shape, ops, seed):
+        partition = dict(zip(BOUNDARY_FACES[shape], kinds))
+        m = _random_history(shape, ops, seed, partition)
+        for got, want in zip(m.edge_arrays, edge_arrays_by_walk(m)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=24, deadline=None, derandomize=True)
+    @given(shape=HISTORIES["shape"], rounds=st.integers(1, 4),
+           share=st.floats(0.2, 1.0), seed=HISTORIES["seed"])
+    def test_coarsening_is_legal_and_maximal(self, shape, rounds, share, seed):
+        """The result is 1-irregular, and each complete marked quadruple
+        left in place breaks 1-irregularity when coarsened alone."""
+        rng = np.random.default_rng(seed)
+        m = _random_history(shape, ["refine"] * rounds, seed)
+        ids = np.asarray(m.active_ids)
+        parents = m.parent_ids(ids)[0]
+        marked = ids[(rng.random(len(ids)) < share)
+                     | np.isin(parents, parents[rng.random(len(ids)) < share])]
+        c = m.coarsen(marked)
+        assert max(levels_across_edges(c), default=0) <= 1
+        p, count = np.unique(m.parent_ids(marked)[0], return_counts=True)
+        kids = m.child_ids(p[:, None], np.array([0, 1, 0, 1]),
+                           np.array([0, 0, 1, 1]))
+        left = (count == 4) & (p >= 0) & np.all(c.active_rows(kids) >= 0,
+                                                axis=1)
+        for parent, quad in zip(p[left], kids[left]):
+            rest = np.setdiff1d(c.active_ids, quad)
+            with pytest.raises(MeshError, match="1-irregularity"):
+                c._rebuild(np.sort(np.append(rest, parent)))
 
     @settings(max_examples=16, deadline=None, derandomize=True)
     @given(k=st.sampled_from([1, 2]), **HISTORIES)

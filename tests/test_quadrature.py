@@ -32,7 +32,7 @@ def test_point_count_range():
 
 def test_cell_rule_counts_and_normalization():
     r1 = cell_rule(1)
-    assert r1.n == 16            # max(k+2, 4) = 4 per direction
+    assert r1.n == 16            # _POINTS = 4 per direction, both degrees
     assert np.sum(r1.weights) == pytest.approx(1.0, abs=1e-15)
     r2 = cell_rule(2)
     assert np.sum(r2.weights) == pytest.approx(1.0, abs=1e-15)
