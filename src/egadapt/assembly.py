@@ -5,19 +5,18 @@ The bilinear form combines cell diffusion terms with consistency, symmetry
 Dirichlet data enters weakly through the right-hand side.  Every local
 matrix is computed on the reference cell/edge: for axis-aligned square
 cells the edge length cancels against the gradient scaling, so with a
-constant-identity diffusion tensor each group of congruent edges shares a
-single local matrix, built once per process.  Edges are grouped by (kind,
-minus side, plus-side sub-interval), cells are processed in one batch.
+constant-identity diffusion tensor all edges of one type (kind, minus
+side, plus-side sub-interval) share one local matrix, built once per
+process.  The cells are one batch, and the edges one batch per kind, in
+runs of one type (:class:`_EdgeBatch`): each pass over a batch computes
+what one pass per type would, to the bit, in the same order.
 
-Reference tables are cached read-only: the cell basis per degree, and the
-edge basis with its joint-dof pattern per edge type.  Each matrix is
-assembled in one pass: the nonzero local entries go into one triplet set
-sized up front, converted to CSR once.  Given a time step, the cell blocks
-take the scaled mass, and M / dt + A_theta is one pass.  Edge blocks are
-emitted on the cells' joint dofs: a plus face node at a minus face node's
-point is that global dof.  There a conforming face's continuous part has
-no jump, nor with K = I an average flux, and those entries are exact
-zeros, never emitted.
+Each matrix is assembled in one pass: the nonzero local entries go into
+one triplet set sized up front, converted to CSR once; given a time step,
+M / dt + A_theta is that one pass.  Edge blocks sit on the cells' joint
+dofs: a plus face node at a minus face node's point is that global dof,
+where a conforming face's continuous part has no jump, nor with K = I an
+average flux, and those entries are exact zeros, never emitted.
 
 A system is solved for its free dofs, those that are neither hanging
 slaves nor the pinned constant, mapped to the full vector by their
@@ -28,7 +27,6 @@ keeping each diagonal pivot of at least a tenth of its column's maximum.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
@@ -37,7 +35,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .mesh import KINDS, NORMALS, SUB_FULL, EdgeKind
+from .mesh import _INTERIOR, KINDS, NORMALS, SUB_FULL, EdgeKind
 from .problems import at_points
 from .quadrature import edge_rule
 from .space import _hanging_table, face_points, memo_points, tabulate
@@ -67,21 +65,22 @@ class PenaltySpec:
 
 
 # ----------------------------------------------------------------------
-# edge groups
+# edge batches
 
 @cache
 def _edge_type(etype):
-    """Read-only (Vm, Gm, Gnm, Vp, Gp, Gnp, keep, fold) of an edge type
+    """Read-only (Vm, Gm, Gnm, Vp, Gp, Gnp, fold, X) of an edge type
     (k, kind, minus side, plus sub).
 
     The first six are the values, reference gradients and normal
     derivatives of the basis at the edge rule's points, on the minus
     cell's face and on the plus cell's opposite (sub-)face, the plus
     derivatives on the minus cell's scale (halved, exactly, on a
-    half-edge, where the plus cell is twice as large).  ``keep`` picks the
-    joint dofs from the cells' local dofs, minus then plus, each at its
-    first place, and the 0/1 ``fold`` adds every local dof onto its joint
-    one: a plus face node at a minus face node's point is that dof.
+    half-edge, where the plus cell is twice as large).  The 0/1 ``fold``
+    (m, m) over the cells' local dofs, minus then plus, adds every local
+    dof onto its joint one, the first local dof at its point: a plus face
+    node at a minus face node's point is that dof.  ``X`` holds the rule's
+    points on the minus face.
     """
     k, kind, mside, psub = etype
     t = edge_rule(k).points
@@ -99,86 +98,168 @@ def _edge_type(etype):
         face = _hanging_table(k)[0]
         d = np.concatenate([d, len(d) + d])
         d[len(d) // 2 + face[mside ^ 1, coarse]] = face[mside, fine]
-    keep = np.flatnonzero(d == np.arange(len(d)))
-    out += [keep, (d[:, None] == keep).astype(float)]
+    out += [(d[:, None] == np.arange(len(d))).astype(float),
+            face_points(mside, SUB_FULL, edge_rule(k).points)]
     for a in out:
         a.setflags(write=False)
     return tuple(out)
 
 
-class _EdgeGroup:
-    """Edges sharing minus side, plus sub-interval and classification, given
-    by their ids ``sel``; ``rows`` holds each edge's cell rows, minus then
-    plus (if interior); ``type`` is (k, kind, minus side, plus sub), which
-    sets the shared reference tables, ``keep`` and ``fold``
-    (:func:`_edge_type`).  The edge points ``P`` (E, nq, 2) are the edge
-    rule on the minus faces (``Mesh.points`` of ``face_points``), read-only
-    with their ``x``, ``y`` from ``memo_points``."""
+class _EdgeBatch:
+    """The edges of one kind, by their ids ``sel`` in (minus side, plus
+    sub) order and their keys, in runs of one type (k, kind, minus side,
+    plus sub): ``types`` lists the runs' types, ``start`` their first
+    edges and ``runs`` their (first, end) edges, ``tid`` is each edge's
+    run and ``alone`` the runs of one edge; ``Vm``, ``Gnm``, ``Vp``,
+    ``Gnp`` stack the types' tables.  ``rows`` holds the cell rows, minus
+    then plus, and the points ``P`` (E, nq, 2) of the edge rule on the
+    minus faces are read-only, their ``x``, ``y`` from ``memo_points``."""
 
-    def __init__(self, space, sel):
-        rule = edge_rule(space.k)
-        mesh, e = space.mesh, space.mesh.edge_arrays
-        kind, mside, psub = (int(a[sel[0]]) for a in (e.kind, e.side, e.sub))
-        self.kind = KINDS[kind]
-        self.type = (space.k, self.kind, mside, psub)
-        self.w = rule.weights
-        interior = self.kind is EdgeKind.INTERIOR
+    def __init__(self, space, sel, key):
+        e, interior = space.mesh.edge_arrays, key[0] // 12 == _INTERIOR
+        self.kind = KINDS[key[0] // 12]
+        new = np.append(True, key[1:] != key[:-1])
+        self.start = np.flatnonzero(new)
+        self.runs = list(zip(self.start.tolist(),
+                             self.start[1:].tolist() + [len(sel)]))
+        self.tid = np.cumsum(new) - 1
+        self.alone = self.start[np.bincount(self.tid) == 1]
+        self.types = [(space.k, self.kind) + divmod(c % 12, 3)
+                      for c in key[self.start].tolist()]
+        self.Vm, self.Gnm, self.Vp, self.Gnp, X = map(self.stack, (0, 2, 3, 5, 7))
+        self.w = edge_rule(space.k).weights
         self.rows = np.column_stack([e.minus[sel], e.plus[sel]][:1 + interior])
         self.minus_rows = self.rows[:, 0]
         self.plus_rows = self.rows[:, 1] if interior else None
-        self.h = mesh.side[self.minus_rows]
-        self.normal = np.asarray(NORMALS[mside])
-        self.P = mesh.points(face_points(mside, SUB_FULL, rule.points),
-                             self.minus_rows)
+        self.h = space.mesh.side[self.minus_rows]
+        self.P = space.mesh.points(np.take(X, self.tid, axis=0), self.minus_rows)
         self.x, self.y = memo_points(self.P)
-        (self.Vm, self.Gm, self.Gnm, self.Vp, self.Gp, self.Gnp,
-         self.keep, self.fold) = _edge_type(self.type)
+        # row e * T + t of an (E, T, ...) array is edge e's for type t
+        self._own = np.arange(len(sel)) * len(self.types) + self.tid
+
+    def stack(self, n):
+        """The types' n-th tables of :func:`_edge_type`, stacked."""
+        return np.array([_edge_type(t)[n] for t in self.types])
 
     def conormal(self, K):
         """(fm, fp, kmax): n . K grad of the basis on the reference edge from
-        the minus and the plus side, (E, nq, nloc) or a shared (1, nq, nloc),
-        and the max-abs diffusion entry over each edge's quadrature points."""
+        the minus and the plus side, per type with K = None (``Gnm``,
+        ``Gnp``), else per edge, and the max-abs entry of K over each
+        edge's quadrature points."""
         if K is None:
-            return self.Gnm[None], self.Gnp[None], np.ones(len(self.h))
+            return self.Gnm, self.Gnp, np.ones(len(self.h))
         Kv = np.asarray(K(self.x, self.y), dtype=float)
-        return (np.einsum("a,eqab,qbi->eqi", self.normal, Kv, self.Gm),
-                np.einsum("a,eqab,qbi->eqi", self.normal, Kv, self.Gp),
+        n = np.asarray(NORMALS)[[t[2] for t in self.types]][self.tid]
+        return (*(np.einsum("ea,eqab,eqbi->eqi", n, Kv, self.stack(s)[self.tid])
+                  for s in (1, 4)),
                 np.max(np.abs(Kv).reshape(len(self.h), -1), axis=1))
+
+    def each(self, fn, table, *args, long=1):
+        """Each edge's own type of ``fn(table, *args)``, (E, T, ...) from the
+        tables (T, ...) and per-edge ``args``: one call for all types, or
+        one per run of one type where the runs average ``long`` edges or
+        more, which spares the other types' work."""
+        if len(self.tid) < long * len(self.types):
+            out = fn(table, *args)
+            return np.take(out.reshape((-1,) + out.shape[2:]), self._own, axis=0)
+        return np.concatenate([fn(table[t:t + 1], *(x[a:b] for x in args))[:, 0]
+                               for t, (a, b) in enumerate(self.runs)])
+
+    def times(self, table, C):
+        """(E, nq): each edge's row of ``C`` times its (nq, n) table,
+        transposed, with the tables per type or, if there are more, per
+        edge; for a run of one edge as one product of a single row."""
+        own = len(table) > len(self.types)
+        out = np.einsum("eqi,ei->eq", table, C) if own else self.each(
+            lambda tab, C: (C @ tab.reshape(-1, C.shape[1]).T).reshape(
+                len(C), len(tab), -1), table, C, long=256)
+        for e in self.alone:
+            out[e] = C[e] @ table[e if own else self.tid[e]].T
+        return out
+
+    def integrate(self, values):
+        """(E,): the rule's weighted sums of ``values`` (E, nq), for a run of
+        one edge as one product of a single row."""
+        out = values @ self.w
+        for e in self.alone:
+            out[e] = values[e] @ self.w
+        return out
 
 
 def edge_groups(space):
-    """Edge groups ordered by (kind value, minus side, plus sub-interval),
-    each keeping edge-id order."""
+    """One :class:`_EdgeBatch` per edge kind present, by kind value, its
+    edges in stable (minus side, plus sub) order."""
     if space._edge_groups is None:
         e = space.mesh.edge_arrays
         key = (e.kind * 4 + e.side) * 3 + e.sub
         order = np.argsort(key, kind="stable")
-        cuts = np.flatnonzero(np.diff(key[order])) + 1
-        space._edge_groups = [_EdgeGroup(space, sel)
-                              for sel in np.split(order, cuts)]
+        key = key[order]
+        cuts = np.flatnonzero(np.diff(key // 12)) + 1
+        space._edge_groups = [_EdgeBatch(space, sel, k) for sel, k in
+                              zip(np.split(order, cuts), np.split(key, cuts))]
     return space._edge_groups
 
 
 # ----------------------------------------------------------------------
 # matrices
 
-def _to_csr(n, dofs, data):
-    """Sum blocks into one n x n CSR matrix: ``dofs`` lists each block's
-    global indices (E, m), ``data`` yields its (E, m, m) or shared (1, m, m)
-    local matrices (test, trial), written into the triplets as they come,
-    less the entries that are zero on every entity of the block."""
-    size = sum(d.shape[0] * d.shape[1] ** 2 for d in dofs)
+#: entities per pass of a block with runs of several types, which bounds
+#: the index arrays of a pass to a few MB
+_CHUNK = 4096
+
+
+def _to_csr(n, blocks):
+    """Sum blocks into one n x n CSR matrix.  A block (dofs, loc, start)
+    gives its entities' global indices (E, m), the first entity of each
+    run of one type and their local matrices (test, trial), one per type
+    or one per entity.  Entity by entity, the triplets take its entries,
+    row-major, less those that are zero on every entity of its type."""
+    plans = []
+    for dofs, loc, start in blocks:
+        loc = loc.reshape(len(loc), -1)
+        own = len(loc) > len(start)
+        t, flat = np.nonzero(np.logical_or.reduceat(loc != 0, start) if own
+                             else loc)
+        runs = np.diff(start, append=len(dofs))
+        plans.append((dofs, loc, own, t, flat, runs,
+                      np.repeat(np.bincount(t, minlength=len(start)), runs)))
+    size = sum(int(p[-1].sum()) for p in plans)
     rows, cols = np.empty((2, size), dtype=np.int32)
     vals = np.empty(size)
     pos = 0
-    for d, loc in zip(dofs, data):
-        i, j = np.nonzero(np.any(loc, axis=0))
-        end = pos + len(d) * len(i)
-        rows[pos:end] = d[:, i].ravel()
-        cols[pos:end] = d[:, j].ravel()
-        vals[pos:end].reshape(len(d), -1)[...] = loc[:, i, j]
-        pos = end
-    return sparse.csr_matrix((vals[:pos], (rows[:pos], cols[:pos])), shape=(n, n))
+    for dofs, loc, own, t, flat, runs, counts in plans:
+        (E, m), dofs = dofs.shape, dofs.astype(np.int32)
+        i, j = np.divmod(flat, m)
+        if len(runs) == 1:
+            end = pos + E * len(flat)
+            for out, local in ((rows, i), (cols, j)):
+                np.take(dofs, local, axis=1, out=out[pos:end].reshape(E, -1),
+                        mode="clip")
+            vals[pos:end].reshape(E, -1)[...] = np.take(loc, flat, axis=1)
+            pos = end
+            continue
+        # entity e takes the entries first[e] + 0, 1, ... of (t, flat), at
+        # dofs.ravel()[m * e + (i, j)]
+        firsts = np.repeat(np.searchsorted(t, np.arange(len(runs))), runs)
+        dofs = dofs.ravel()
+        for a in range(0, E, _CHUNK):
+            count, first = counts[a:a + _CHUNK], firsts[a:a + _CHUNK]
+            end = pos + count.sum()
+            entry = np.repeat(first - np.cumsum(count) + count, count)
+            entry += np.arange(end - pos)
+            base = np.repeat(np.arange(a * m, (a + len(count)) * m, m), count)
+            for out, local in ((rows, i), (cols, j)):
+                at = local[entry]
+                at += base
+                np.take(dofs, at, out=out[pos:end], mode="clip")
+            if own:
+                at = flat[entry]
+                at += base * m
+                np.take(loc.ravel(), at, out=vals[pos:end], mode="clip")
+            else:
+                np.take(loc[t, flat], entry, out=vals[pos:end], mode="clip")
+            pos = end
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 def _stiffness_data(space, K):
@@ -194,65 +275,75 @@ def _mass_data(space):
     return t.sides[:, None, None] ** 2 * np.einsum("q,qi,qj->ij", t.w, t.N, t.N)
 
 
+def _cells(space, data):
+    return space.cell_dofs, data, np.zeros(1, dtype=np.int64)
+
+
 def assemble_stiffness(space, K=None):
     """Cell diffusion block sum_T (K grad p, grad w)_T (no edge terms)."""
-    return _to_csr(space.n_dofs, [space.cell_dofs], [_stiffness_data(space, K)])
+    return _to_csr(space.n_dofs, [_cells(space, _stiffness_data(space, K))])
 
 
 def assemble_mass(space):
     """Gram matrix of the full EG basis, constants included."""
-    return _to_csr(space.n_dofs, [space.cell_dofs], [_mass_data(space)])
+    return _to_csr(space.n_dofs, [_cells(space, _mass_data(space))])
 
 
-def _edge_data(etype, fm, fp, kmax, penalty):
-    """Local matrices of an interior or Dirichlet edge type from its
-    conormals and K_max weights (``_EdgeGroup.conormal``).
+def _edge_data(kind, w, Vm, Vp, fm, fp, kmax, penalty):
+    """Local matrices of interior or Dirichlet edges from the basis values
+    on both sides, (nq, nloc) or per edge, their conormals and K_max
+    weights (``_EdgeBatch.conormal``), (E, m, m) or (1, m, m) if shared.
 
     On Dirichlet edges jump and average collapse to the one-sided trace.
     Normal fluxes are taken on the reference edge, where the edge length
     cancels against the gradient scaling.
     """
-    k, kind = etype[:2]
-    Vm, _, _, Vp = _edge_type(etype)[:4]
-    w, th, al = edge_rule(k).weights, penalty.theta, penalty.alpha
+    th, al = penalty.theta, penalty.alpha
     interior = kind is EdgeKind.INTERIOR
-    J = np.hstack([Vm, -Vp]) if interior else Vm
-    avg = 0.5 * np.concatenate([fm, fp], axis=2) if interior else fm
-    return (-np.einsum("q,qi,eqj->eij", w, J, avg)
-            + th * np.einsum("q,eqi,qj->eij", w, avg, J)
+    J = np.concatenate([Vm, -Vp], axis=-1) if interior else Vm
+    avg = 0.5 * np.concatenate([fm, fp], axis=-1) if interior else fm
+    return (-np.einsum("q,...qi,...qj->...ij", w, J, avg)
+            + th * np.einsum("q,...qi,...qj->...ij", w, avg, J)
             + al * kmax[:, None, None]
-            * np.einsum("q,qi,qj->ij", w, J, J))
+            * np.einsum("q,...qi,...qj->...ij", w, J, J))
 
 
 @lru_cache(maxsize=64)
 def _constant_K_data(etype, penalty):
     """Read-only (1, m, m) local matrix of an edge type with K = I, folded
     onto its joint dofs."""
-    _, _, Gnm, _, _, Gnp, _, fold = _edge_type(etype)
-    out = fold.T @ _edge_data(etype, Gnm[None], Gnp[None], np.ones(1), penalty) @ fold
+    Vm, _, Gnm, Vp, _, Gnp, fold, _ = _edge_type(etype)
+    out = fold.T @ _edge_data(etype[1], edge_rule(etype[0]).weights, Vm, Vp,
+                              Gnm[None], Gnp[None], np.ones(1), penalty) @ fold
     out.setflags(write=False)
     return out
 
 
 def _edge_blocks(space, K, penalty):
-    """Joint dofs and a generator of local matrices of the non-Neumann
-    groups, folded onto those dofs."""
-    groups = [g for g in edge_groups(space) if g.kind is not EdgeKind.NEUMANN]
-    return ([space.cell_dofs[g.rows].reshape(len(g.h), -1)[:, g.keep]
-             for g in groups],
-            (_constant_K_data(g.type, penalty) if K is None else
-             g.fold.T @ _edge_data(g.type, *g.conormal(K), penalty) @ g.fold
-             for g in groups))
+    """Blocks of the non-Neumann batches: both cells' local dofs, the local
+    matrices folded onto the joint dofs (one per type with K = None) and
+    the first edge of each run of one type."""
+    for b in edge_groups(space):
+        if b.kind is EdgeKind.NEUMANN:
+            continue
+        if K is None:
+            loc = np.concatenate([_constant_K_data(t, penalty) for t in b.types])
+        else:
+            fold = b.stack(6)[b.tid]
+            loc = _edge_data(b.kind, b.w, b.Vm[b.tid], b.Vp[b.tid],
+                             *b.conormal(K), penalty)
+            loc = np.swapaxes(fold, 1, 2) @ loc @ fold
+        yield (np.take(space.cell_dofs, b.rows, axis=0).reshape(len(b.h), -1),
+               loc, b.start)
 
 
 def assemble_A_theta(space, K=None, penalty=PenaltySpec(), dt=None):
     """Full spatial bilinear form: diffusion plus interior-penalty terms;
     given ``dt``, the backward-Euler system M / dt + A_theta."""
-    dofs, data = _edge_blocks(space, K, penalty)
     cells = _stiffness_data(space, K)
     cells = cells if dt is None else cells + _mass_data(space) / dt
-    return _to_csr(space.n_dofs, [space.cell_dofs] + dofs,
-                   itertools.chain([cells], data))
+    return _to_csr(space.n_dofs, [_cells(space, cells),
+                                  *_edge_blocks(space, K, penalty)])
 
 
 # ----------------------------------------------------------------------
@@ -291,20 +382,27 @@ def assemble_rhs(space, problem, t_n, penalty=PenaltySpec(), prev=None, dt=None)
     cells = np.einsum("qc,qi->ic", load, tb.N).T * tb.sides[:, None] ** 2
     parts = [(space.cell_dofs, cells)]
 
+    # an einsum sums each entry over the points alone, in point order, so
+    # a run's terms are the same floats whatever else shares the call
     th, al = penalty.theta, penalty.alpha
-    for g in edge_groups(space):
-        if g.kind is EdgeKind.INTERIOR:
+    for b in edge_groups(space):
+        if b.kind is EdgeKind.INTERIOR:
             continue
-        if g.kind is EdgeKind.NEUMANN:
-            gv = at_points(problem.g_N, g.x, g.y, t_n)
-            bloc = np.einsum("e,q,eq,qi->ei", g.h, g.w, gv, g.Vm)
+        if b.kind is EdgeKind.NEUMANN:
+            gv = at_points(problem.g_N, b.x, b.y, t_n)
+            bloc = b.each(lambda tab, h, gv: np.einsum(
+                "e,q,eq,tqi->eti", h, b.w, gv, tab), b.Vm, b.h, gv)
         else:
-            gv = at_points(problem.g_D, g.x, g.y, t_n)
-            fm, _, kmax = g.conormal(problem.K)
-            flux = np.einsum("q,eq,eqi->ei", g.w, gv, fm)
-            pen = np.einsum("e,q,eq,qi->ei", al * kmax, g.w, gv, g.Vm)
+            gv = at_points(problem.g_D, b.x, b.y, t_n)
+            fm, _, kmax = b.conormal(problem.K)
+            flux = (b.each(lambda tab, gv: np.einsum("q,eq,tqi->eti", b.w, gv,
+                                                     tab), fm, gv)
+                    if problem.K is None
+                    else np.einsum("q,eq,eqi->ei", b.w, gv, fm))
+            pen = b.each(lambda tab, a, gv: np.einsum(
+                "e,q,eq,tqi->eti", a, b.w, gv, tab), b.Vm, al * kmax, gv)
             bloc = th * flux + pen
-        parts.append((space.cell_dofs[g.minus_rows], bloc))
+        parts.append((space.cell_dofs[b.minus_rows], bloc))
     return _scatter(space.n_dofs, parts)
 
 

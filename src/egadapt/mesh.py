@@ -43,9 +43,6 @@ SUB_FULL, SUB_LOW, SUB_HIGH = 0, 1, 2
 #: outward unit normal of each side
 NORMALS = ((-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0))
 
-# grid direction of the face neighbor across each side
-_DI = np.array([-1, 1, 0, 0])
-_DJ = np.array([0, 0, -1, 1])
 # child positions (kx, ky) in id order
 _QUAD = (np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1]))
 # boundary face of a side, indexed by 2 * side + (on the bounding box)
@@ -114,10 +111,14 @@ _SPREAD = ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
 
 def _morton(i, j):
     """Morton index of grid positions (i, j) below 2**31: the bits of i at
-    the even places, those of j at the odd ones."""
+    the even places (:data:`_XBITS`), those of j at the odd ones."""
     for s, mask in _SPREAD:
         i, j = (i | (i << s)) & mask, (j | (j << s)) & mask
     return i | (j << 1)
+
+
+#: the places of a Morton index that hold i, and those that hold j
+_XBITS, _YBITS = 0x1555555555555555, 0x2AAAAAAAAAAAAAAA
 
 
 #: most root cells along one side of the root grid: h0 >= 2**-9 on the
@@ -148,6 +149,13 @@ class Mesh:
     ``i``, ``j``, ``x0``, ``y0`` and ``side`` follow ``active_ids``; other
     modules place points by :meth:`points` and :meth:`lattice_points`, and
     find the cells at finest-grid squares by :meth:`rows_at`.
+
+    The root grid's side is a power of two, so the bounding box is one
+    quadtree: a Morton index interleaves the bits of a position on the
+    finest level's grid (:func:`_morton`), and every cell covers the
+    aligned range ``morton_lo`` to ``morton_hi`` (inclusive), computed
+    once, read-only.  The ranges find the cells across the edges and the
+    transfer's donors, and order the factor (``EGSpace.factor_order``).
     """
 
     def __init__(self, shape, h0, partition, roots, ids):
@@ -169,6 +177,16 @@ class Mesh:
         self.y0 = self.bbox[1] + self.j * self.side
         self.max_level = int(self.level.max())
         self.h_min = math.ldexp(h0, -self.max_level)
+        # positions below 2**30 leave each axis a spare place for the edge
+        # probes' carries and borrows (:meth:`_build_edges`)
+        if self._grid << self.max_level > 2 ** 30:
+            raise MeshError("mesh too deep for 64-bit Morton indices")
+        shift = self.max_level - self.level
+        self.morton_lo = _morton(self.i << shift, self.j << shift)
+        self.morton_hi = self.morton_lo + (1 << 2 * shift) - 1
+        self._by_lo = np.argsort(self.morton_lo)
+        for a in (self.morton_lo, self.morton_hi):
+            a.setflags(write=False)
         self.edge_arrays = self._build_edges()
 
     # ------------------------------------------------------------------
@@ -244,27 +262,10 @@ class Mesh:
         coords = self.points((offsets / k)[off, None], row)[:, 0]
         return rank[inv].reshape(keys.shape), coords, (row, off)
 
-    def morton_ranges(self):
-        """First and last Morton index (inclusive) of the squares of the
-        finest level's grid that each active cell covers.
-
-        The root grid's side is a power of two, so the bounding box is one
-        quadtree: a Morton index interleaves the bits of the grid position
-        (:func:`_morton`), and every cell covers one aligned range.  The
-        ranges find the cells across the edges and the transfer's donors
-        (:meth:`rows_at`), and order the factor (``EGSpace.factor_order``).
-        """
-        if self._grid << self.max_level > 2 ** 31:
-            raise MeshError("mesh too deep for 64-bit Morton indices")
-        shift = self.max_level - self.level
-        lo = _morton(self.i << shift, self.j << shift)
-        return lo, lo + (1 << 2 * shift) - 1
-
     def rows_at(self, m):
         """Rows of the active cells that cover the finest-grid squares with
         Morton indices ``m``; -1 where no cell does (outside the domain)."""
-        lo, hi = self.morton_ranges()
-        order = np.argsort(lo)
+        lo, hi, order = self.morton_lo, self.morton_hi, self._by_lo
         # the last range starting at or below m; below the first one, the
         # index -1 picks the last cell, which starts above m
         pos = order[np.searchsorted(lo, m, side="right", sorter=order) - 1]
@@ -280,12 +281,16 @@ class Mesh:
         side = np.tile(np.arange(4), self.n_active)
         minus = np.repeat(np.arange(self.n_active), 4)
         shift = np.repeat(self.max_level - self.level, 4)
-        step = np.where(side & 1, 1 << shift, 1)
-        i = (self.i[minus] << shift) + _DI[side] * step
-        j = (self.j[minus] << shift) + _DJ[side] * step
-        n = self._grid << self.max_level
-        off = (i < 0) | (i >= n) | (j < 0) | (j >= n)
-        plus = np.where(off, -1, self.rows_at(_morton(i % n, j % n)))
+        # the square's Morton index is the cell's first one moved along i
+        # (W, E) or j (S, N) in dilated arithmetic: a carry passes the
+        # other axis's places set to one, a borrow those set to zero; past
+        # the bounding box an axis over- or underflows its grid positions
+        lo, bits = self.morton_lo[minus], np.where(side < SOUTH, _XBITS, _YBITS)
+        d = np.where(side & 1, 1 << 2 * shift, 1) << (side >= SOUTH)
+        m = np.where(side & 1, (lo | ~bits) + d, (lo & bits) - d) & bits
+        m |= lo & ~bits
+        off = m >= (self._grid << self.max_level) ** 2
+        plus = np.where(off, -1, self.rows_at(m))
         inner = plus >= 0
         up = np.where(inner, self.level[plus] - self.level[minus], 0)
         if np.any(np.abs(up) > 1):

@@ -14,7 +14,7 @@ lexicographic (x fastest) order; the per-cell constants follow, ordered by
 cell id.  The LU factor eliminates the dofs in a separate order
 (:meth:`EGSpace.factor_order`), which leaves this numbering unchanged.
 
-A space's cell quadrature points, and each edge group's edge points, are
+A space's cell quadrature points, and each edge batch's edge points, are
 exposed once as read-only coordinate arrays (:func:`memo_points`);
 problem data evaluated there is memoised on them (:meth:`CellPoints.cached`)
 as the terms function's own read-only arrays, freed with the space.
@@ -157,15 +157,20 @@ class EGSpace:
         """Sparse N x N map from unconstrained to full coefficient vectors.
 
         Rows of unconstrained dofs carry an identity entry; the row of each
-        hanging (slave) dof carries its master weights.  Every caller shares
-        it, so its arrays are read-only.
+        hanging (slave) dof carries its master weights, by ascending master.
+        Every caller shares it, so its arrays are read-only.
         """
-        n = self.n_dofs
-        ids = np.setdiff1d(np.arange(n), self.slaves, assume_unique=True)
-        rows = np.concatenate([ids, np.repeat(self.slaves, self.k + 1)])
-        cols = np.concatenate([ids, self._masters.ravel()])
-        vals = np.concatenate([np.ones(len(ids)), self._weights.ravel()])
-        C = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        n, width = self.n_dofs, self.k + 1
+        count = np.ones(n, dtype=np.int32)
+        count[self.slaves] = width
+        indptr = np.concatenate([[0], np.cumsum(count, dtype=np.int32)])
+        indices = np.repeat(np.arange(n, dtype=np.int32), count)
+        data = np.ones(indptr[-1])
+        at = indptr[self.slaves, None] + np.arange(width)
+        order = np.argsort(self._masters, axis=1)
+        indices[at] = np.take_along_axis(self._masters, order, axis=1)
+        data[at] = np.take_along_axis(self._weights, order, axis=1)
+        C = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
         for a in (C.data, C.indices, C.indptr):
             a.setflags(write=False)
         return C
@@ -187,7 +192,7 @@ class EGSpace:
         their subtrees nest, and the factor fills in no entry between
         disjoint subtrees.
         """
-        lo, hi = self.mesh.morton_ranges()
+        lo, hi = self.mesh.morton_lo, self.mesh.morton_hi
         dof_lo = np.full(self.n_dofs, np.iinfo(np.int64).max)
         dof_hi = np.zeros(self.n_dofs, dtype=np.int64)
         np.minimum.at(dof_lo, self.cell_dofs, lo[:, None])
@@ -344,7 +349,7 @@ class TransferredField:
         # square is the cell itself or an ancestor, depth levels up; the
         # cell's position (ix, iy) on that depth's grid of the donor cell
         ids = tgt.active_ids
-        lo, shift = tgt.morton_ranges()[0], 2 * (tgt.max_level - src.max_level)
+        lo, shift = tgt.morton_lo, 2 * (tgt.max_level - src.max_level)
         drow = src.rows_at(lo >> shift if shift > 0 else lo << -shift)
         depth = tgt.level - src.level[drow]
         drow[depth < 0] = -1

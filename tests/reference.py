@@ -4,7 +4,9 @@ The library computes every quantity in one batched pass over the mesh.
 The functions here compute the same quantities one cell or one edge at a
 time, through :func:`evaluate` and the edge records of :func:`edges`, so
 the tests can compare the batched code against an independent, directly
-readable formula.
+readable formula.  The edge terms are also kept one group of congruent
+edges at a time (:class:`EdgeGroup`), as the library took them before it
+took one batch per edge kind: those oracles give the same floats.
 """
 
 import math
@@ -12,13 +14,16 @@ from typing import NamedTuple
 
 import numpy as np
 
+from scipy import sparse
+
 from egadapt import EdgeKind, MeshError, build_initial, edge_rule
-from egadapt.assembly import PenaltySpec, _edge_data, _EdgeGroup, edge_groups
-from egadapt.estimator import _div_k_grad, _normal_flux
+from egadapt.assembly import (PenaltySpec, _edge_type, _mass_data,
+                              _stiffness_data)
+from egadapt.estimator import CellIndicators, _div_k_grad
 from egadapt.mesh import (_FACES, EAST, KINDS, NORMALS, NORTH, SOUTH, SQRT2,
                           SUB_FULL, SUB_LOW, EdgeArrays)
 from egadapt.problems import at_points
-from egadapt.space import face_points, tabulate
+from egadapt.space import face_points, memo_points, tabulate
 
 
 # ----------------------------------------------------------------------
@@ -318,7 +323,7 @@ def edge_indicators(field, edge, t_n, K=None, g_N=None, g_D=None):
     if edge.kind is EdgeKind.NEUMANN:
         _, favg = flux_jump_average(field, edge, rule.points, K)
         gn = np.asarray(g_N(pts[:, 0], pts[:, 1], t_n), dtype=float)
-        return {"eta3": h ** 1.5 * math.sqrt(np.sum(w * (gn + favg) ** 2))}
+        return {"eta3": h ** 1.5 * math.sqrt(np.sum(w * (gn - favg) ** 2))}
     _, vavg = jump_average(field, edge, rule.points)
     gd = np.asarray(g_D(pts[:, 0], pts[:, 1], t_n), dtype=float)
     return {"eta5": kmax * h ** 0.5 * math.sqrt(np.sum(w * (gd - vavg) ** 2))}
@@ -333,20 +338,223 @@ def edge_matrix(space, edge, K=None, penalty=PenaltySpec()):
     Returns (dofs, matrix) with dofs the concatenated minus(+plus) cell
     dofs and matrix indexed (test, trial).
     """
-    group = _EdgeGroup(space, np.array([edge.id]))
+    group = EdgeGroup(space, np.array([edge.id]))
     dofs = space.cell_dofs[group.rows[0]].ravel()
     if edge.kind is EdgeKind.NEUMANN:
         return dofs, np.zeros((len(dofs), len(dofs)))
-    return dofs, _edge_data(group.type, *group.conormal(K), penalty)[0]
+    return dofs, edge_data(group.type, *group.conormal(K), penalty)[0]
 
 
-def joint_dofs(space, group):
-    """(keep, fold) of an edge group, read off its first edge's global
-    dofs: each joint dof at its first place among the cells' local dofs,
-    and the 0/1 map of every local dof onto its joint one."""
-    d = space.cell_dofs[group.rows[0]].ravel()
-    keep = np.sort(np.unique(d, return_index=True)[1])
-    return keep, (d[:, None] == d[keep]).astype(float)
+def joint_dofs(space, rows):
+    """The 0/1 fold (m, m) of an edge with the cell rows ``rows``, read
+    off its global dofs: every local dof onto the first local dof with
+    its global dof."""
+    d = space.cell_dofs[rows].ravel()
+    first = np.argmax(d[:, None] == d, axis=1)
+    return (first[:, None] == np.arange(len(d))).astype(float)
+
+
+# ----------------------------------------------------------------------
+# the edge terms one group of congruent edges at a time
+
+class EdgeGroup:
+    """The edges sharing kind, minus side and plus sub-interval, given by
+    their ids ``sel``, with the tables of their type ``(k, kind, minus
+    side, plus sub)``: ``keep`` picks the joint dofs from the cells' local
+    dofs, and ``fold`` (m, len(keep)) adds every local dof onto its joint
+    one."""
+
+    def __init__(self, space, sel):
+        rule = edge_rule(space.k)
+        mesh, e = space.mesh, space.mesh.edge_arrays
+        kind, mside, psub = (int(a[sel[0]]) for a in (e.kind, e.side, e.sub))
+        self.kind = KINDS[kind]
+        self.type = (space.k, self.kind, mside, psub)
+        self.w = rule.weights
+        interior = self.kind is EdgeKind.INTERIOR
+        self.rows = np.column_stack([e.minus[sel], e.plus[sel]][:1 + interior])
+        self.minus_rows = self.rows[:, 0]
+        self.plus_rows = self.rows[:, 1] if interior else None
+        self.h = mesh.side[self.minus_rows]
+        self.normal = np.asarray(NORMALS[mside])
+        self.P = mesh.points(face_points(mside, SUB_FULL, rule.points),
+                             self.minus_rows)
+        self.x, self.y = memo_points(self.P)
+        (self.Vm, self.Gm, self.Gnm, self.Vp, self.Gp, self.Gnp,
+         fold) = _edge_type(self.type)[:7]
+        self.keep = np.flatnonzero(fold.any(axis=0))
+        self.fold = fold[:, self.keep]
+
+    def conormal(self, K):
+        """(fm, fp, kmax): n . K grad of the basis on the reference edge,
+        (E, nq, nloc) or a shared (1, nq, nloc), and K_max per edge."""
+        if K is None:
+            return self.Gnm[None], self.Gnp[None], np.ones(len(self.h))
+        Kv = np.asarray(K(self.x, self.y), dtype=float)
+        return (np.einsum("a,eqab,qbi->eqi", self.normal, Kv, self.Gm),
+                np.einsum("a,eqab,qbi->eqi", self.normal, Kv, self.Gp),
+                np.max(np.abs(Kv).reshape(len(self.h), -1), axis=1))
+
+
+def edge_groups_by_type(space):
+    """Edge groups ordered by (kind value, minus side, plus sub-interval),
+    each keeping edge-id order."""
+    e = space.mesh.edge_arrays
+    key = (e.kind * 4 + e.side) * 3 + e.sub
+    order = np.argsort(key, kind="stable")
+    cuts = np.flatnonzero(np.diff(key[order])) + 1
+    return [EdgeGroup(space, sel) for sel in np.split(order, cuts)]
+
+
+def edge_data(etype, fm, fp, kmax, penalty):
+    """Local matrices of one interior or Dirichlet edge group."""
+    k, kind = etype[:2]
+    Vm, _, _, Vp = _edge_type(etype)[:4]
+    w, th, al = edge_rule(k).weights, penalty.theta, penalty.alpha
+    interior = kind is EdgeKind.INTERIOR
+    J = np.hstack([Vm, -Vp]) if interior else Vm
+    avg = 0.5 * np.concatenate([fm, fp], axis=2) if interior else fm
+    return (-np.einsum("q,qi,eqj->eij", w, J, avg)
+            + th * np.einsum("q,eqi,qj->eij", w, avg, J)
+            + al * kmax[:, None, None]
+            * np.einsum("q,qi,qj->ij", w, J, J))
+
+
+def _to_csr(n, dofs, data):
+    """Blocks of local matrices summed into one CSR matrix, block by
+    block, less the entries that are zero on every entity of a block."""
+    size = sum(d.shape[0] * d.shape[1] ** 2 for d in dofs)
+    rows, cols = np.empty((2, size), dtype=np.int32)
+    vals = np.empty(size)
+    pos = 0
+    for d, loc in zip(dofs, data):
+        i, j = np.nonzero(np.any(loc, axis=0))
+        end = pos + len(d) * len(i)
+        rows[pos:end] = d[:, i].ravel()
+        cols[pos:end] = d[:, j].ravel()
+        vals[pos:end].reshape(len(d), -1)[...] = loc[:, i, j]
+        pos = end
+    return sparse.csr_matrix((vals[:pos], (rows[:pos], cols[:pos])), shape=(n, n))
+
+
+def assemble_A_theta_groups(space, K=None, penalty=PenaltySpec(), dt=None):
+    """``assemble_A_theta``, one edge group at a time."""
+    groups = [g for g in edge_groups_by_type(space)
+              if g.kind is not EdgeKind.NEUMANN]
+    cells = _stiffness_data(space, K)
+    cells = cells if dt is None else cells + _mass_data(space) / dt
+    data = [cells]
+    for g in groups:
+        fm, fp, kmax = g.conormal(K)
+        if K is None:
+            kmax = np.ones(1)
+        data.append(g.fold.T @ edge_data(g.type, fm, fp, kmax, penalty) @ g.fold)
+    dofs = [space.cell_dofs[g.rows].reshape(len(g.h), -1)[:, g.keep]
+            for g in groups]
+    return _to_csr(space.n_dofs, [space.cell_dofs] + dofs, data)
+
+
+def _scatter(n, parts):
+    """Length-n sums of the (indices, values) parts, in the order given."""
+    if not parts:
+        return np.zeros(n)
+    index, values = zip(*parts)
+    return np.bincount(np.concatenate([a.ravel() for a in index]),
+                       np.concatenate([a.ravel() for a in values]),
+                       minlength=n)
+
+
+def assemble_rhs_groups(space, problem, t_n, penalty=PenaltySpec(), prev=None,
+                        dt=None):
+    """``assemble_rhs``, one boundary edge group at a time."""
+    tb = space.tables
+    F = at_points(problem.f, tb.x, tb.y, t_n)
+    if prev is not None:
+        prev = np.asarray(prev) / dt
+        F = np.add(prev, F, out=prev)
+    load = np.multiply(F.T, tb.w[:, None], order="C")
+    cells = np.einsum("qc,qi->ic", load, tb.N).T * tb.sides[:, None] ** 2
+    parts = [(space.cell_dofs, cells)]
+    th, al = penalty.theta, penalty.alpha
+    for g in edge_groups_by_type(space):
+        if g.kind is EdgeKind.INTERIOR:
+            continue
+        if g.kind is EdgeKind.NEUMANN:
+            gv = at_points(problem.g_N, g.x, g.y, t_n)
+            bloc = np.einsum("e,q,eq,qi->ei", g.h, g.w, gv, g.Vm)
+        else:
+            gv = at_points(problem.g_D, g.x, g.y, t_n)
+            fm, _, kmax = g.conormal(problem.K)
+            flux = np.einsum("q,eq,eqi->ei", g.w, gv, fm)
+            pen = np.einsum("e,q,eq,qi->ei", al * kmax, g.w, gv, g.Vm)
+            bloc = th * flux + pen
+        parts.append((space.cell_dofs[g.minus_rows], bloc))
+    return _scatter(space.n_dofs, parts)
+
+
+def _normal_flux(table, C):
+    """n . K grad p_h at the edge points from a co-normal table: one matrix
+    product for a table shared by the group, else one per edge."""
+    if len(table) == 1:
+        return C @ table[0].T
+    return np.einsum("eqi,ei->eq", table, C)
+
+
+def indicators_groups(space, field, prev_vals, problem, t_n, dt, alpha):
+    """``compute_indicators``, one edge group at a time."""
+    tb = space.tables
+    resid = field.cell_values(0) - prev_vals
+    resid /= -dt
+    resid += at_points(problem.f, tb.x, tb.y, t_n)
+    if problem.K is not None:
+        resid += _div_k_grad(field, problem.K, problem.K_grad)
+    elif space.k == 2:
+        hess = field.cell_values(2)
+        resid += hess[..., 0, 0]
+        resid += hess[..., 1, 1]
+    resid *= resid
+    norm_sq = tb.sides ** 2 * np.einsum("q,cq->c", tb.w, resid)
+    eta1 = (SQRT2 * tb.sides) ** 2 * np.sqrt(norm_sq)
+    parts = ([], [], [], [])
+    loc = field.coeffs[space.cell_dofs]
+    for g in edge_groups_by_type(space):
+        fm, fp, kmax = g.conormal(problem.K)
+        Cm = loc[g.minus_rows]
+        flux_m = _normal_flux(fm, Cm) / g.h[:, None]
+        if g.kind is EdgeKind.INTERIOR:
+            Cp = loc[g.plus_rows]
+            flux_p = _normal_flux(fp, Cp) / g.h[:, None]
+            fj = flux_m - flux_p
+            vj = Cm @ g.Vm.T - Cp @ g.Vp.T
+            e2sq = g.h ** 4 * (fj ** 2 @ g.w)
+            e4sq = kmax ** 2 * g.h ** 2 * (vj ** 2 @ g.w)
+            parts[0].extend([(g.minus_rows, e2sq), (g.plus_rows, e2sq)])
+            parts[2].extend([(g.minus_rows, e4sq), (g.plus_rows, e4sq)])
+        elif g.kind is EdgeKind.NEUMANN:
+            gv = at_points(problem.g_N, g.x, g.y, t_n)
+            e3sq = g.h ** 4 * ((gv - flux_m) ** 2 @ g.w)
+            parts[1].append((g.minus_rows, e3sq))
+        else:
+            gap = at_points(problem.g_D, g.x, g.y, t_n) - Cm @ g.Vm.T
+            e5sq = kmax ** 2 * g.h ** 2 * (gap ** 2 @ g.w)
+            parts[3].append((g.minus_rows, e5sq))
+    ncells = len(tb.sides)
+    eta2_sq, eta3_sq, eta4_sq, eta5_sq = (_scatter(ncells, p) for p in parts)
+    eta_T = np.sqrt(eta1 ** 2 + 0.5 * (alpha * eta2_sq + eta4_sq)
+                    + eta3_sq + alpha * eta5_sq)
+    return CellIndicators(space.mesh.active_ids, eta1, eta2_sq, eta3_sq,
+                          eta4_sq, eta5_sq, eta_T)
+
+
+def constraint_matrix_coo(space):
+    """The constraint map built from (row, col, value) triplets: identity
+    rows for the unconstrained dofs, master weights for the slaves."""
+    n = space.n_dofs
+    ids = np.setdiff1d(np.arange(n), space.slaves, assume_unique=True)
+    rows = np.concatenate([ids, np.repeat(space.slaves, space.k + 1)])
+    cols = np.concatenate([ids, space._masters.ravel()])
+    vals = np.concatenate([np.ones(len(ids)), space._weights.ravel()])
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 # ----------------------------------------------------------------------
@@ -364,7 +572,7 @@ def assemble_rhs_add_at(space, problem, t_n, penalty=PenaltySpec(), prev=None,
     bloc = np.einsum("q,cq,qi->ci", tb.w, F, tb.N) * tb.sides[:, None] ** 2
     np.add.at(b, space.cell_dofs, bloc)
     th, al = penalty.theta, penalty.alpha
-    for g in edge_groups(space):
+    for g in edge_groups_by_type(space):
         if g.kind is EdgeKind.INTERIOR:
             continue
         if g.kind is EdgeKind.NEUMANN:
@@ -401,7 +609,7 @@ def indicators_add_at(space, field, prev_vals, problem, t_n, dt):
 
     eta2_sq, eta3_sq, eta4_sq, eta5_sq = np.zeros((4, ncells))
     coeffs = field.coeffs
-    for g in edge_groups(space):
+    for g in edge_groups_by_type(space):
         fm, fp, kmax = g.conormal(problem.K)
         Cm = coeffs[space.cell_dofs[g.minus_rows]]
         flux_m = _normal_flux(fm, Cm) / g.h[:, None]
@@ -419,7 +627,7 @@ def indicators_add_at(space, field, prev_vals, problem, t_n, dt):
         elif g.kind is EdgeKind.NEUMANN:
             gn = at_points(problem.g_N, g.P[..., 0], g.P[..., 1], t_n)
             np.add.at(eta3_sq, g.minus_rows,
-                      g.h ** 4 * ((gn + flux_m) ** 2 @ g.w))
+                      g.h ** 4 * ((gn - flux_m) ** 2 @ g.w))
         else:
             gd = at_points(problem.g_D, g.P[..., 0], g.P[..., 1], t_n)
             gap = gd - Cm @ g.Vm.T

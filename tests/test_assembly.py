@@ -11,14 +11,16 @@ from egadapt import (CondensedSolver, DiscreteField, DomainShape, EdgeKind,
                      EGSpace, PenaltySpec, SolverError, TransferredField,
                      assemble_A_theta, assemble_mass, assemble_rhs,
                      assemble_stiffness, broken_h1_error, build_initial,
-                     edge_rule, example1, galerkin_residual, interpolate,
-                     smoke_linear)
-from egadapt.assembly import _constant_K_data, edge_groups
-from egadapt.mesh import SUB_FULL
+                     compute_indicators, edge_rule, example1,
+                     galerkin_residual, interpolate, smoke_linear)
+from egadapt.assembly import _constant_K_data, _edge_type, edge_groups
+from egadapt.mesh import BOUNDARY_FACES, NORMALS, SUB_FULL
 from egadapt.space import _hanging_table, face_points
 
 from conftest import random_adaptive_mesh
-from reference import (assemble_rhs_add_at, edge_matrix, edges, evaluate,
+from reference import (assemble_A_theta_groups, assemble_rhs_add_at,
+                       assemble_rhs_groups, constraint_matrix_coo,
+                       edge_matrix, edges, evaluate, indicators_groups,
                        joint_dofs)
 from test_mesh import HISTORIES, _random_history
 
@@ -206,19 +208,30 @@ class TestGlobalAssembly:
         for k in (1, 2):
             a, b, c = EGSpace(m, k), EGSpace(other, k), EGSpace(m, k)
             cell = [(getattr(a.tables, n), getattr(b.tables, n)) for n in "NGH"]
-            edge = [(getattr(g, n), getattr(h, n))
-                    for g, h in zip(edge_groups(a), edge_groups(c))
-                    for n in ("Vm", "Gm", "Gnm", "Vp", "Gp", "Gnp",
-                              "keep", "fold")]
+            # each batch's stacks are its types' tables, which one cache holds
+            edge = []
+            for g, h in zip(edge_groups(a), edge_groups(c)):
+                assert g.types == h.types
+                for n, name in enumerate(("Vm", "Gm", "Gnm", "Vp", "Gp", "Gnp",
+                                          "fold", "X")):
+                    got = g.stack(n)
+                    for t, table in zip(g.types, got):
+                        assert np.array_equal(table, _edge_type(t)[n])
+                    if hasattr(g, name):
+                        assert np.array_equal(getattr(g, name), got)
+                edge += [(x, y) for t, u in zip(g.types, h.types)
+                         for x, y in zip(_edge_type(t), _edge_type(u))]
             # the constant-K edge matrices, folded onto the joint dofs and
             # matched by edge type across the two meshes
             shared = {}
             for sp in (a, b):
                 for g in edge_groups(sp):
                     if g.kind is not EdgeKind.NEUMANN:
-                        L = _constant_K_data(g.type, pen)
-                        assert L.shape == (1, len(g.keep), len(g.keep))
-                        shared.setdefault(g.type, []).append(L)
+                        for t, fold in zip(g.types, g.stack(6)):
+                            L = _constant_K_data(t, pen)
+                            assert L.shape == (1,) + fold.shape
+                            assert not np.any(L[:, ~fold.any(axis=0)])
+                            shared.setdefault(t, []).append(L)
             pairs = [got for got in shared.values() if len(got) == 2]
             assert len(pairs) >= 4
             for x, y in cell + edge + pairs:
@@ -235,8 +248,8 @@ class TestGlobalAssembly:
                   mixed.refine(mixed.active_ids[::3]))
 
         def by_type(k):
-            return {g.type: (g.keep, g.fold, g.Vm) for m in meshes
-                    for g in edge_groups(EGSpace(m, k))}
+            return {t: _edge_type(t) for m in meshes
+                    for g in edge_groups(EGSpace(m, k)) for t in g.types}
 
         before = by_type(1)
         by_type(2)
@@ -287,33 +300,35 @@ class TestJointDofs:
         s = EGSpace(_random_history(shape, ops, seed), k)
         nloc = s.cell_dofs.shape[1]
         for g in edge_groups(s):
-            d = s.cell_dofs[g.rows].reshape(len(g.h), -1)
-            assert np.array_equal(g.keep[:nloc], np.arange(nloc))
-            assert np.array_equal(g.fold.sum(axis=1), np.ones(d.shape[1]))
-            for col, joint in zip(g.fold.T, g.keep):
-                twins = np.flatnonzero(col)
-                assert twins[0] == joint
-                assert np.all(d[:, twins] == d[:, [joint]])
-            # k + 1 shared face nodes on a conforming face, k on a hanging
-            # one, none on the boundary
-            shared = 0
-            if g.kind is EdgeKind.INTERIOR:
-                shared = k + (g.type[3] == SUB_FULL)
-            assert len(g.keep) == d.shape[1] - shared
+            folds = g.stack(6)
+            for t, (etype, fold) in enumerate(zip(g.types, folds)):
+                d = s.cell_dofs[g.rows[g.tid == t]].reshape(-1, fold.shape[0])
+                keep = np.flatnonzero(fold.any(axis=0))
+                assert np.array_equal(keep[:nloc], np.arange(nloc))
+                assert np.array_equal(fold.sum(axis=1), np.ones(d.shape[1]))
+                for joint in keep:
+                    twins = np.flatnonzero(fold[:, joint])
+                    assert twins[0] == joint
+                    assert np.all(d[:, twins] == d[:, [joint]])
+                # k + 1 shared face nodes on a conforming face, k on a
+                # hanging one, none on the boundary
+                shared = 0
+                if g.kind is EdgeKind.INTERIOR:
+                    shared = k + (etype[3] == SUB_FULL)
+                assert len(keep) == d.shape[1] - shared
 
     @settings(max_examples=16, deadline=None, derandomize=True)
     @given(k=st.sampled_from([1, 2]), **HISTORIES)
     def test_type_pattern_matches_first_edge(self, k, shape, ops, seed):
-        # keep and fold are built once per edge type; they must be what the
-        # group's first edge gives in this space
+        # the fold is built once per edge type; it must be what the first
+        # edge of the type's run gives in this space
         s = EGSpace(_random_history(shape, ops, seed), k)
         for g in edge_groups(s):
-            keep, fold = joint_dofs(s, g)
-            assert np.array_equal(g.keep, keep)
-            assert np.array_equal(g.fold, fold)
-            for a in (g.keep, g.fold):
+            for t, first in zip(g.types, g.start):
+                fold = _edge_type(t)[6]
+                assert np.array_equal(fold, joint_dofs(s, g.rows[first]))
                 with pytest.raises(ValueError):
-                    a[(0,) * a.ndim] = 1
+                    fold[0, 0] = 1
 
     @pytest.mark.parametrize("k, entries", [(1, 12), (2, 28)])
     def test_conforming_blocks_cancel_exactly(self, k, entries):
@@ -324,8 +339,9 @@ class TestJointDofs:
         pen = PenaltySpec(1.0, 0)
         for g in edge_groups(s):
             if g.kind is EdgeKind.INTERIOR:
-                L = _constant_K_data(g.type, pen)    # folded already
-                assert np.count_nonzero(L) == entries
+                for t in g.types:
+                    L = _constant_K_data(t, pen)    # folded already
+                    assert np.count_nonzero(L) == entries
 
 
 class TestRhs:
@@ -379,6 +395,8 @@ class _MixedBoundaryProblem:
     g_D = staticmethod(lambda x, y, t: np.cos(x * y) + t)
     g_N = staticmethod(lambda x, y, t: x - 2 * y)
 
+    K_grad = None
+
     def __init__(self, K=None):
         self.K = K
 
@@ -401,6 +419,69 @@ class TestRhsScatter:
             got = assemble_rhs(s, problem, 0.3, pen, **args)
             want = assemble_rhs_add_at(s, problem, 0.3, pen, **args)
             assert np.array_equal(got, want)
+
+
+def _assert_same_floats(space, K):
+    """Matrix, load and indicators of the batches are those of one pass per
+    edge group, to the bit."""
+    rng = np.random.default_rng(space.n_dofs)
+    field = DiscreteField(space, rng.standard_normal(space.n_dofs))
+    prev = rng.standard_normal((space.mesh.n_active, space.tables.rule.n))
+    problem = _MixedBoundaryProblem(K)
+    for theta in (-1, 0, 1):
+        pen = PenaltySpec(1.5, theta)
+        for dt in (None, 0.01):
+            got = assemble_A_theta(space, K, pen, dt)
+            want = assemble_A_theta_groups(space, K, pen, dt)
+            for a in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, a), getattr(want, a))
+        for args in ({}, {"prev": prev, "dt": 0.05}):
+            assert np.array_equal(assemble_rhs(space, problem, 0.3, pen, **args),
+                                  assemble_rhs_groups(space, problem, 0.3, pen,
+                                                      **args))
+    got = compute_indicators(space, field, prev, problem, 0.3, 0.01, 2.0)
+    want = indicators_groups(space, field, prev, problem, 0.3, 0.01, 2.0)
+    for name in ("eta1", "eta2_sq", "eta3_sq", "eta4_sq", "eta5_sq", "eta_T"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+class TestBatchesMatchGroups:
+    """One batch per edge kind, one pass each, against the oracles that
+    take one edge group (one edge type) at a time."""
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(k=st.sampled_from([1, 2]),
+           kinds=st.lists(st.sampled_from("DN"), min_size=6, max_size=6),
+           varying=st.booleans(), **HISTORIES)
+    def test_random_histories(self, k, kinds, varying, shape, ops, seed):
+        partition = dict(zip(BOUNDARY_FACES[shape], kinds))
+        space = EGSpace(_random_history(shape, ops, seed, partition), k)
+        _assert_same_floats(space, varying_K if varying else None)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("K", [None, varying_K], ids=["K=I", "varying-K"])
+    def test_runs_of_one_edge(self, k, K):
+        # a single edge of its type takes another BLAS kernel in a product
+        # of its own; the batch must give its floats too, also where every
+        # run is one edge
+        part = {"left": "N", "bottom": "N", "right": "D", "top": "D"}
+        lshape = build_initial(DomainShape.L_SHAPE, 0.5,
+                               TestMassBalance.PARTITION)
+        for mesh in (lshape.refine(lshape.active_ids[[5]]),
+                     build_initial(DomainShape.UNIT_SQUARE, 1.0, part)):
+            space = EGSpace(mesh, k)
+            assert any(len(g.alone) for g in edge_groups(space))
+            _assert_same_floats(space, K)
+
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_long_runs(self, k):
+        # runs of hundreds of edges of one type take one product per run
+        part = {"left": "N", "bottom": "N", "right": "D", "top": "D"}
+        space = EGSpace(build_initial(DomainShape.UNIT_SQUARE, 1 / 32, part), k)
+        (g,) = [g for g in edge_groups(space) if g.kind is EdgeKind.INTERIOR]
+        assert len(g.h) >= 256 * len(g.types)
+        _assert_same_floats(space, None)
 
 
 def reference_constraint_matrix(space, pins=()):
@@ -432,6 +513,14 @@ class TestConstraintMatrix:
         C, ref = s.constraint_matrix, reference_constraint_matrix(s)
         assert C.format == "csr" and C.nnz == ref.nnz
         assert np.array_equal(C.toarray(), ref.toarray())
+
+    @settings(max_examples=16, deadline=None, derandomize=True)
+    @given(k=st.sampled_from([1, 2]), **HISTORIES)
+    def test_csr_arrays_equal_the_triplet_build(self, k, shape, ops, seed):
+        s = EGSpace(_random_history(shape, ops, seed), k)
+        C, want = s.constraint_matrix, constraint_matrix_coo(s)
+        for a in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(C, a), getattr(want, a))
 
     def test_no_hanging_nodes_is_identity(self):
         s = EGSpace(build_initial(DomainShape.UNIT_SQUARE, 0.5), 1)
@@ -708,13 +797,14 @@ class TestEdgePoints:
         both cells meet at the same physical points."""
         mesh = random_adaptive_mesh(shape, rounds=3, seed=seed)
         t = edge_rule(k).points
-        groups = [g for g in edge_groups(EGSpace(mesh, k))
-                  if g.kind is EdgeKind.INTERIOR]
-        assert any(g.type[3] != SUB_FULL for g in groups)   # hanging edges
-        for g in groups:
-            _, _, mside, psub = g.type
-            plus = mesh.points(face_points(mside ^ 1, psub, t), g.plus_rows)
-            assert np.max(np.abs(g.P - plus)) <= 1e-15
+        (g,) = [g for g in edge_groups(EGSpace(mesh, k))
+                if g.kind is EdgeKind.INTERIOR]
+        assert any(t[3] != SUB_FULL for t in g.types)   # hanging edges
+        for n, (_, _, mside, psub) in enumerate(g.types):
+            run = g.tid == n
+            plus = mesh.points(face_points(mside ^ 1, psub, t),
+                               g.plus_rows[run])
+            assert np.max(np.abs(g.P[run] - plus)) <= 1e-15
 
 
 class TestMassBalance:
@@ -760,15 +850,16 @@ class TestMassBalance:
         for g in edge_groups(sp):
             kinds.add(g.kind)
             px, py = g.P[..., 0], g.P[..., 1]
+            normal = np.array(NORMALS)[[t[2] for t in g.types]][g.tid]
             Kv = (np.broadcast_to(np.eye(2), px.shape + (2, 2)) if K is None
                   else K(px, py))
             pen_e = (pen.alpha * np.abs(Kv).reshape(len(g.h), -1).max(axis=1)
                      / g.h)[:, None]
             vm, gm = _traces(field, g.minus_rows, g.P)
-            qm = np.einsum("a,eqab,eqb->eq", g.normal, Kv, gm)
+            qm = np.einsum("ea,eqab,eqb->eq", normal, Kv, gm)
             if g.kind is EdgeKind.INTERIOR:
                 vp, gp = _traces(field, g.plus_rows, g.P)
-                qp = np.einsum("a,eqab,eqb->eq", g.normal, Kv, gp)
+                qp = np.einsum("ea,eqab,eqb->eq", normal, Kv, gp)
                 fn = -0.5 * (qm + qp) + pen_e * (vm - vp)
             elif g.kind is EdgeKind.DIRICHLET:
                 fn = -qm + pen_e * (vm - prob.g_D(px, py, t_n))

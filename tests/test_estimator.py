@@ -1,10 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from egadapt import (DiscreteField, DomainShape, EGSpace, build_initial,
-                     compute_indicators, effectivity, interpolate)
+from egadapt import (CondensedSolver, DiscreteField, DomainShape, EGSpace,
+                     PenaltySpec, assemble_A_theta, assemble_rhs,
+                     build_initial, compute_indicators, effectivity,
+                     interpolate)
+from egadapt.mesh import EdgeKind
 from egadapt.problems import example1, smoke_linear
 
 from conftest import random_adaptive_mesh
@@ -140,6 +144,25 @@ class TestEdgeIndicators:
         e = next(e for e in edges(m) if e.kind.value == "neumann")
         d = edge_indicators(fld, e, 0.0, g_N=lambda x, y, t: np.ones_like(x))
         assert d["eta3"] == pytest.approx(1.0, abs=1e-13)
+
+
+    def test_exact_neumann_flux_leaves_no_residual(self):
+        # p = x + y has n . grad p = -1 on the left and bottom sides, the
+        # data g_N there; the solution is exact, and so is its flux
+        part = {"left": "N", "bottom": "N", "right": "D", "top": "D"}
+        prob = replace(smoke_linear(), partition=part,
+                       g_N=lambda x, y, t: np.full_like(x, -1.0))
+        s = EGSpace(build_initial(DomainShape.UNIT_SQUARE, 0.25, part), 1)
+        pen = PenaltySpec(1.0, 0)
+        fld = DiscreteField(s, CondensedSolver(
+            assemble_A_theta(s, None, pen), s).solve(
+                assemble_rhs(s, prob, 0.0, pen)))
+        assert np.max(np.abs(fld.cell_values(0) - (s.tables.x + s.tables.y))) \
+            <= 1e-12
+        ind = compute_indicators(s, fld, fld.cell_values(0), prob, 0.0, 0.01,
+                                 1.0)
+        assert sum(e.kind is EdgeKind.NEUMANN for e in edges(s.mesh)) == 8
+        assert np.sqrt(np.max(ind.eta3_sq)) <= 1e-12
 
 
 class TestLocalCombination:

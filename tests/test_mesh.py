@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from egadapt import (ConfigError, DomainShape, EdgeKind, EGSpace, MeshError,
                      build_initial)
+from egadapt import mesh as mesh_mod
 from egadapt.mesh import BOUNDARY_FACES, EAST, KINDS, NORMALS, NORTH, SOUTH
 
 from conftest import random_adaptive_mesh
@@ -353,3 +354,21 @@ class TestRandomHistories:
         assert np.array_equal(nodes, np.arange(s.n_cg))
         assert np.all(np.diff(first) > 0)
         assert np.array_equal(s.cell_dofs[:, -1], s.n_cg + np.arange(s.n_const))
+
+
+def test_morton_indices_once_per_mesh(monkeypatch):
+    # the edges, the transfers and the factor orders read each mesh's
+    # Morton ranges; only building a mesh interleaves bits
+    calls, built = [], []
+    real_morton, real_init = mesh_mod._morton, mesh_mod.Mesh.__init__
+    monkeypatch.setattr(mesh_mod, "_morton",
+                        lambda i, j: calls.append(1) or real_morton(i, j))
+    monkeypatch.setattr(mesh_mod.Mesh, "__init__",
+                        lambda self, *a: built.append(1) or real_init(self, *a))
+    from egadapt import RunConfig, run_timeloop
+    reports = run_timeloop(RunConfig(
+        problem="example2", mode="adaptive_full", k=2, h0=0.25, dt=0.01,
+        T_final=0.05, tau=2e-3, theta_coarse=0.4, theta_refine=0.2,
+        coarsen_rule="fraction"))
+    assert len(reports) == 5 and len(built) > 5
+    assert len(calls) == len(built)

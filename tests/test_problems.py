@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from egadapt import EGSpace, RunConfig, by_name, problems, run_timeloop
+from egadapt import space as space_mod
 from egadapt.assembly import edge_groups
 from egadapt.mesh import EdgeKind
 from egadapt.problems import example1, example2, smoke_linear
@@ -298,6 +299,36 @@ class TestCellPointCache:
         del space, x, y, first, again, a, b, c
         assert all(r() is None for r in refs)
 
+    @pytest.mark.parametrize("make", [example1, example2])
+    def test_batch_terms_equal_fresh_run_terms(self, make):
+        # the Dirichlet batch evaluates its edges' data in one array; each
+        # run of one edge type, on its own, gives the same floats
+        space = EGSpace(random_adaptive_mesh(rounds=3, seed=7), 2)
+        terms = {example1: "_corner_terms", example2: "_window_terms"}[make]
+        fn = getattr(problems, terms)
+        (b,) = [b for b in edge_groups(space) if b.kind is EdgeKind.DIRICHLET]
+        make().g_D(b.x, b.y, 0.4)
+        batch = b.x._memo[fn]
+        assert len(b.types) > 1
+        for t in range(len(b.types)):
+            run = b.tid == t
+            fresh = fn(np.array(b.x[run]), np.array(b.y[run]))
+            for got, want in zip(batch, fresh):
+                assert np.array_equal(got[run], want)
+
+    def test_adaptive_run_evaluates_each_space_twice(self, monkeypatch):
+        built = _record_calls(monkeypatch, space_mod.EGSpace, "__init__")
+        evaluations = _record_calls(monkeypatch, problems, "_window_terms")
+        reports = run_timeloop(RunConfig(
+            problem="example2", mode="adaptive_full", k=2, h0=0.25, dt=0.01,
+            T_final=0.05, tau=2e-3, theta_coarse=0.4, theta_refine=0.2,
+            coarsen_rule="fraction"))
+        assert len(reports) == 5 and len(built) > 5
+        # once at the cell points and once at the Dirichlet edges' points
+        cells = [s.tables.x for s in built]
+        assert sum(any(x is c for c in cells) for x in evaluations) == len(built)
+        assert len(evaluations) == 2 * len(built)
+
     def test_uniform_run_evaluates_the_cell_grid_once(self, monkeypatch):
         calls = _record_calls(monkeypatch, CellPoints, "cached")
         evaluations = _record_calls(monkeypatch, problems, "_corner_terms")
@@ -309,9 +340,9 @@ class TestCellPointCache:
         # f for the load vector and for the indicators, exact p and grad
         assert sum(np.size(x) == grid for x in calls) == 4 * steps
         assert sum(np.size(x) == grid for x in evaluations) == 1
-        # and each of the 4 Dirichlet edge groups' points once, though the
+        # and the Dirichlet edges' points once, in one batch, though the
         # load and the indicators take g_D there every step
-        assert len(evaluations) == 1 + 4
+        assert len(evaluations) == 1 + 1
 
 
 class TestClosedForms:

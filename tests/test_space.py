@@ -355,9 +355,9 @@ def edge_trace_quantities(space, coeffs):
     jump_sq = avg_sq = bnd_sq = 0.0
     for g in edge_groups(space):
         w = g.h[:, None] * g.w
-        tm = coeffs[space.cell_dofs[g.minus_rows]] @ g.Vm.T
+        tm = g.times(g.Vm, coeffs[space.cell_dofs[g.minus_rows]])
         if g.kind is EdgeKind.INTERIOR:
-            tp = coeffs[space.cell_dofs[g.plus_rows]] @ g.Vp.T
+            tp = g.times(g.Vp, coeffs[space.cell_dofs[g.plus_rows]])
             jump_sq += np.sum(w * (tm - tp) ** 2)
             avg_sq += np.sum(w * (0.5 * (tm + tp)) ** 2)
             bnd_sq += np.sum(w * (tm ** 2 + tp ** 2))
