@@ -35,7 +35,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .mesh import _INTERIOR, KINDS, NORMALS, SUB_FULL, EdgeKind
+from .mesh import KINDS, NORMALS, SUB_FULL, EdgeKind
 from .problems import at_points
 from .quadrature import edge_rule
 from .space import _hanging_table, face_points, memo_points, tabulate
@@ -106,26 +106,28 @@ def _edge_type(etype):
 
 
 class _EdgeBatch:
-    """The edges of one kind, by their ids ``sel`` in (minus side, plus
-    sub) order and their keys, in runs of one type (k, kind, minus side,
-    plus sub): ``types`` lists the runs' types, ``start`` their first
-    edges and ``runs`` their (first, end) edges, ``tid`` is each edge's
-    run and ``alone`` the runs of one edge; ``Vm``, ``Gnm``, ``Vp``,
-    ``Gnp`` stack the types' tables.  ``rows`` holds the cell rows, minus
-    then plus, and the points ``P`` (E, nq, 2) of the edge rule on the
-    minus faces are read-only, their ``x``, ``y`` from ``memo_points``."""
+    """The edges of one kind, by their ids ``sel`` in stable (minus side,
+    plus sub) order, in runs of one type (k, kind, minus side, plus sub):
+    ``types`` lists the runs' types, ``start`` their first edges and
+    ``runs`` their (first, end) edges, ``tid`` is each edge's run and
+    ``alone`` the (edge, run) of each run of one edge; ``Vm``, ``Gnm``,
+    ``Vp``, ``Gnp`` stack the types' tables.  ``rows`` holds the cell rows,
+    minus then plus, and the points ``P`` (E, nq, 2) of the edge rule on
+    the minus faces are read-only, their ``x``, ``y`` from ``memo_points``."""
 
-    def __init__(self, space, sel, key):
-        e, interior = space.mesh.edge_arrays, key[0] // 12 == _INTERIOR
-        self.kind = KINDS[key[0] // 12]
-        new = np.append(True, key[1:] != key[:-1])
+    def __init__(self, space, sel):
+        e = space.mesh.edge_arrays
+        side, sub = e.side[sel], e.sub[sel]
+        self.kind = KINDS[e.kind[sel[0]]]
+        interior = self.kind is EdgeKind.INTERIOR
+        new = np.append(True, (side[1:] != side[:-1]) | (sub[1:] != sub[:-1]))
         self.start = np.flatnonzero(new)
         self.runs = list(zip(self.start.tolist(),
                              self.start[1:].tolist() + [len(sel)]))
         self.tid = np.cumsum(new) - 1
-        self.alone = self.start[np.bincount(self.tid) == 1]
-        self.types = [(space.k, self.kind) + divmod(c % 12, 3)
-                      for c in key[self.start].tolist()]
+        self.alone = [(a, t) for t, (a, b) in enumerate(self.runs) if b - a == 1]
+        self.types = [(space.k, self.kind, s, u) for s, u in
+                      zip(side[self.start].tolist(), sub[self.start].tolist())]
         self.Vm, self.Gnm, self.Vp, self.Gnp, X = map(self.stack, (0, 2, 3, 5, 7))
         self.w = edge_rule(space.k).weights
         self.rows = np.column_stack([e.minus[sel], e.plus[sel]][:1 + interior])
@@ -134,8 +136,6 @@ class _EdgeBatch:
         self.h = space.mesh.side[self.minus_rows]
         self.P = space.mesh.points(np.take(X, self.tid, axis=0), self.minus_rows)
         self.x, self.y = memo_points(self.P)
-        # row e * T + t of an (E, T, ...) array is edge e's for type t
-        self._own = np.arange(len(sel)) * len(self.types) + self.tid
 
     def stack(self, n):
         """The types' n-th tables of :func:`_edge_type`, stacked."""
@@ -154,34 +154,28 @@ class _EdgeBatch:
                   for s in (1, 4)),
                 np.max(np.abs(Kv).reshape(len(self.h), -1), axis=1))
 
-    def each(self, fn, table, *args, long=1):
-        """Each edge's own type of ``fn(table, *args)``, (E, T, ...) from the
-        tables (T, ...) and per-edge ``args``: one call for all types, or
-        one per run of one type where the runs average ``long`` edges or
-        more, which spares the other types' work."""
-        if len(self.tid) < long * len(self.types):
-            out = fn(table, *args)
-            return np.take(out.reshape((-1,) + out.shape[2:]), self._own, axis=0)
-        return np.concatenate([fn(table[t:t + 1], *(x[a:b] for x in args))[:, 0]
-                               for t, (a, b) in enumerate(self.runs)])
+    def own(self, out):
+        """Each edge's own type of ``out`` (E, T, ...), made for every type."""
+        # row e * T + t of the flattened array is edge e's for type t
+        rows = np.arange(len(self.h)) * len(self.types) + self.tid
+        return np.take(out.reshape((-1,) + out.shape[2:]), rows, axis=0)
 
     def times(self, table, C):
         """(E, nq): each edge's row of ``C`` times its (nq, n) table,
         transposed, with the tables per type or, if there are more, per
         edge; for a run of one edge as one product of a single row."""
         own = len(table) > len(self.types)
-        out = np.einsum("eqi,ei->eq", table, C) if own else self.each(
-            lambda tab, C: (C @ tab.reshape(-1, C.shape[1]).T).reshape(
-                len(C), len(tab), -1), table, C, long=256)
-        for e in self.alone:
-            out[e] = C[e] @ table[e if own else self.tid[e]].T
+        out = np.einsum("eqi,ei->eq", table, C) if own else self.own(
+            (C @ table.reshape(-1, C.shape[1]).T).reshape(len(C), len(table), -1))
+        for e, t in self.alone:
+            out[e] = C[e] @ table[e if own else t].T
         return out
 
     def integrate(self, values):
         """(E,): the rule's weighted sums of ``values`` (E, nq), for a run of
         one edge as one product of a single row."""
         out = values @ self.w
-        for e in self.alone:
+        for e, _ in self.alone:
             out[e] = values[e] @ self.w
         return out
 
@@ -191,74 +185,41 @@ def edge_groups(space):
     edges in stable (minus side, plus sub) order."""
     if space._edge_groups is None:
         e = space.mesh.edge_arrays
-        key = (e.kind * 4 + e.side) * 3 + e.sub
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        cuts = np.flatnonzero(np.diff(key // 12)) + 1
-        space._edge_groups = [_EdgeBatch(space, sel, k) for sel, k in
-                              zip(np.split(order, cuts), np.split(key, cuts))]
+        order = np.argsort((e.kind * 4 + e.side) * 3 + e.sub, kind="stable")
+        cuts = np.flatnonzero(np.diff(e.kind[order])) + 1
+        space._edge_groups = [_EdgeBatch(space, sel)
+                              for sel in np.split(order, cuts)]
     return space._edge_groups
 
 
 # ----------------------------------------------------------------------
 # matrices
 
-#: entities per pass of a block with runs of several types, which bounds
-#: the index arrays of a pass to a few MB
-_CHUNK = 4096
-
-
 def _to_csr(n, blocks):
-    """Sum blocks into one n x n CSR matrix.  A block (dofs, loc, start)
-    gives its entities' global indices (E, m), the first entity of each
-    run of one type and their local matrices (test, trial), one per type
-    or one per entity.  Entity by entity, the triplets take its entries,
-    row-major, less those that are zero on every entity of its type."""
+    """Sum blocks into one n x n CSR matrix.  A block (dofs, loc, runs)
+    gives its entities' global indices (E, m), their local matrices (test,
+    trial), one per type or one per entity, and the (first, end) entities
+    of its runs of one type.  Entity by entity, the triplets take its
+    entries, row-major, less those that are zero on every entity of its
+    type; they are written into arrays sized up front."""
     plans = []
-    for dofs, loc, start in blocks:
-        loc = loc.reshape(len(loc), -1)
-        own = len(loc) > len(start)
-        t, flat = np.nonzero(np.logical_or.reduceat(loc != 0, start) if own
-                             else loc)
-        runs = np.diff(start, append=len(dofs))
-        plans.append((dofs, loc, own, t, flat, runs,
-                      np.repeat(np.bincount(t, minlength=len(start)), runs)))
-    size = sum(int(p[-1].sum()) for p in plans)
+    for dofs, loc, runs in blocks:
+        dofs, loc = dofs.astype(np.int32), loc.reshape(len(loc), -1)
+        own = len(loc) > len(runs)
+        nz = np.logical_or.reduceat(loc != 0, [a for a, _ in runs]) if own \
+            else loc != 0
+        plans += [(dofs[a:b], loc[a:b] if own else loc[t], np.flatnonzero(nz[t]))
+                  for t, (a, b) in enumerate(runs)]
+    size = sum(len(dofs) * len(f) for dofs, _, f in plans)
     rows, cols = np.empty((2, size), dtype=np.int32)
     vals = np.empty(size)
     pos = 0
-    for dofs, loc, own, t, flat, runs, counts in plans:
-        (E, m), dofs = dofs.shape, dofs.astype(np.int32)
-        i, j = np.divmod(flat, m)
-        if len(runs) == 1:
-            end = pos + E * len(flat)
-            for out, local in ((rows, i), (cols, j)):
-                np.take(dofs, local, axis=1, out=out[pos:end].reshape(E, -1),
-                        mode="clip")
-            vals[pos:end].reshape(E, -1)[...] = np.take(loc, flat, axis=1)
-            pos = end
-            continue
-        # entity e takes the entries first[e] + 0, 1, ... of (t, flat), at
-        # dofs.ravel()[m * e + (i, j)]
-        firsts = np.repeat(np.searchsorted(t, np.arange(len(runs))), runs)
-        dofs = dofs.ravel()
-        for a in range(0, E, _CHUNK):
-            count, first = counts[a:a + _CHUNK], firsts[a:a + _CHUNK]
-            end = pos + count.sum()
-            entry = np.repeat(first - np.cumsum(count) + count, count)
-            entry += np.arange(end - pos)
-            base = np.repeat(np.arange(a * m, (a + len(count)) * m, m), count)
-            for out, local in ((rows, i), (cols, j)):
-                at = local[entry]
-                at += base
-                np.take(dofs, at, out=out[pos:end], mode="clip")
-            if own:
-                at = flat[entry]
-                at += base * m
-                np.take(loc.ravel(), at, out=vals[pos:end], mode="clip")
-            else:
-                np.take(loc[t, flat], entry, out=vals[pos:end], mode="clip")
-            pos = end
+    for dofs, loc, f in plans:
+        end, shape = pos + len(dofs) * len(f), (len(dofs), len(f))
+        for out, local in zip((rows, cols), np.divmod(f, dofs.shape[1])):
+            np.take(dofs, local, axis=1, out=out[pos:end].reshape(shape))
+        vals[pos:end].reshape(shape)[...] = loc[..., f]
+        pos = end
     return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
@@ -276,7 +237,7 @@ def _mass_data(space):
 
 
 def _cells(space, data):
-    return space.cell_dofs, data, np.zeros(1, dtype=np.int64)
+    return space.cell_dofs, data, [(0, len(space.cell_dofs))]
 
 
 def assemble_stiffness(space, K=None):
@@ -322,7 +283,7 @@ def _constant_K_data(etype, penalty):
 def _edge_blocks(space, K, penalty):
     """Blocks of the non-Neumann batches: both cells' local dofs, the local
     matrices folded onto the joint dofs (one per type with K = None) and
-    the first edge of each run of one type."""
+    the runs of one type."""
     for b in edge_groups(space):
         if b.kind is EdgeKind.NEUMANN:
             continue
@@ -334,7 +295,7 @@ def _edge_blocks(space, K, penalty):
                              *b.conormal(K), penalty)
             loc = np.swapaxes(fold, 1, 2) @ loc @ fold
         yield (np.take(space.cell_dofs, b.rows, axis=0).reshape(len(b.h), -1),
-               loc, b.start)
+               loc, b.runs)
 
 
 def assemble_A_theta(space, K=None, penalty=PenaltySpec(), dt=None):
@@ -383,26 +344,24 @@ def assemble_rhs(space, problem, t_n, penalty=PenaltySpec(), prev=None, dt=None)
     parts = [(space.cell_dofs, cells)]
 
     # an einsum sums each entry over the points alone, in point order, so
-    # a run's terms are the same floats whatever else shares the call
+    # an edge's terms for its type are the same floats whatever else
+    # shares the call
     th, al = penalty.theta, penalty.alpha
     for b in edge_groups(space):
         if b.kind is EdgeKind.INTERIOR:
             continue
         if b.kind is EdgeKind.NEUMANN:
             gv = at_points(problem.g_N, b.x, b.y, t_n)
-            bloc = b.each(lambda tab, h, gv: np.einsum(
-                "e,q,eq,tqi->eti", h, b.w, gv, tab), b.Vm, b.h, gv)
+            bloc = b.own(np.einsum("e,q,eq,tqi->eti", b.h, b.w, gv, b.Vm))
         else:
             gv = at_points(problem.g_D, b.x, b.y, t_n)
             fm, _, kmax = b.conormal(problem.K)
-            flux = (b.each(lambda tab, gv: np.einsum("q,eq,tqi->eti", b.w, gv,
-                                                     tab), fm, gv)
+            flux = (b.own(np.einsum("q,eq,tqi->eti", b.w, gv, fm))
                     if problem.K is None
                     else np.einsum("q,eq,eqi->ei", b.w, gv, fm))
-            pen = b.each(lambda tab, a, gv: np.einsum(
-                "e,q,eq,tqi->eti", a, b.w, gv, tab), b.Vm, al * kmax, gv)
+            pen = b.own(np.einsum("e,q,eq,tqi->eti", al * kmax, b.w, gv, b.Vm))
             bloc = th * flux + pen
-        parts.append((space.cell_dofs[b.minus_rows], bloc))
+        parts.append((np.take(space.cell_dofs, b.minus_rows, axis=0), bloc))
     return _scatter(space.n_dofs, parts)
 
 
@@ -444,7 +403,9 @@ class CondensedSolver:
         fixed[space.slaves] = fixed[space.n_cg] = True
         self.order = order[~fixed[order]]
         self.C = space.constraint_matrix[:, self.order]
-        self.matrix_c = (self.C.T @ matrix @ self.C).tocsc()
+        # the product comes with unsorted indices: two transposes sort them
+        # in linear passes, before splu would sort each column
+        self.matrix_c = (self.C.T @ matrix @ self.C).tocsr().tocsc()
         try:
             self.lu = splu(self.matrix_c, permc_spec="NATURAL",
                            diag_pivot_thresh=0.1)

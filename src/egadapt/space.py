@@ -51,12 +51,12 @@ def shape_1d(k, t):
     return n, d, d2
 
 
-def tabulate(k, pts):
+def tabulate(k, pts, values=False):
     """Tabulate the EG basis (Q_k nodes + trailing constant) at reference points.
 
     Returns (N, G, H): values (n, nloc), reference gradients (n, 2, nloc)
-    and reference hessians (n, 2, 2, nloc).  The constant function occupies
-    the last local index with zero derivatives.
+    and reference hessians (n, 2, 2, nloc), or (N,) given ``values``.  The
+    constant function occupies the last local index with zero derivatives.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     x, y = shape_1d(k, pts[:, 0]), shape_1d(k, pts[:, 1])
@@ -67,6 +67,8 @@ def tabulate(k, pts):
         const = np.full((len(pts), 1), float(dx + dy == 0))
         return np.hstack([prod.reshape(len(pts), -1), const])
 
+    if values:
+        return (q(0, 0),)
     G = np.stack([q(1, 0), q(0, 1)], axis=1)
     H = np.stack([np.stack([q(2, 0), q(1, 1)], axis=1),
                   np.stack([q(1, 1), q(0, 2)], axis=1)], axis=1)
@@ -365,10 +367,10 @@ class TransferredField:
             scale = 0.5 ** d[first]
             off = np.column_stack([ix[first], iy[first]]) * scale[:, None]
             pts = off[:, None, :] + scale[:, None, None] * ref_pts[None]
-            N = tabulate(k, pts.reshape(-1, 2))[0].reshape(
+            N = tabulate(k, pts.reshape(-1, 2), values=True)[0].reshape(
                 len(first), len(ref_pts), -1)
-            out[hit] = np.einsum("cqi,ci->cq", N[inv],
-                                 coeffs[dofs[drow[hit]]])
+            out[hit] = np.einsum("cqi,ci->cq", N[inv], coeffs[
+                np.take(dofs, drow[hit], axis=0)])
 
         # coarser cells: descend per point to the donor cell containing it
         miss = np.flatnonzero(drow < 0)
@@ -387,8 +389,9 @@ class TransferredField:
             if np.any(prow < 0):
                 raise MeshError("transfer: target points not covered by the "
                                 "donor mesh")
-            N = tabulate(k, u)[0]
-            out[miss] = np.einsum("pi,pi->p", N, coeffs[dofs[prow]]).reshape(
+            N = tabulate(k, u, values=True)[0]
+            out[miss] = np.einsum("pi,pi->p", N, coeffs[
+                np.take(dofs, prow, axis=0)]).reshape(
                 len(miss), len(ref_pts))
         return out
 

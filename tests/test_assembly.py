@@ -476,11 +476,11 @@ class TestBatchesMatchGroups:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_long_runs(self, k):
-        # runs of hundreds of edges of one type take one product per run
+        # runs of hundreds of edges of one type, multiplied by every type
         part = {"left": "N", "bottom": "N", "right": "D", "top": "D"}
         space = EGSpace(build_initial(DomainShape.UNIT_SQUARE, 1 / 32, part), k)
         (g,) = [g for g in edge_groups(space) if g.kind is EdgeKind.INTERIOR]
-        assert len(g.h) >= 256 * len(g.types)
+        assert min(b - a for a, b in g.runs) >= 256
         _assert_same_floats(space, None)
 
 
@@ -539,6 +539,19 @@ class TestConstraintMatrix:
         assert np.array_equal(solver.C.toarray(), C.toarray()[:, p])
         assert np.array_equal(solver.matrix_c.toarray(),
                               ref.toarray()[np.ix_(p, p)])
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_condensed_arrays_equal_the_sorted_product(self, k):
+        # the factor gets the product's arrays as a per-column sort leaves them
+        s = EGSpace(random_adaptive_mesh(seed=4), k)
+        S = euler_matrix(s, theta=-1)
+        solver = CondensedSolver(S, s)
+        want = (solver.C.T @ S @ solver.C).tocsc()
+        want.sort_indices()
+        got = solver.matrix_c
+        assert got.format == "csc" and got.has_canonical_format
+        for a in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, a), getattr(want, a))
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_unknowns_are_the_free_dofs(self, k):

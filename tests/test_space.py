@@ -6,6 +6,8 @@ from egadapt import (DiscreteField, DomainShape, EGSpace, MeshError,
                      TransferredField, broken_h1_error, build_initial,
                      edge_rule, interpolate)
 
+from egadapt.space import tabulate
+
 from conftest import random_adaptive_mesh
 from reference import edges, evaluate, jump_average, locate, value
 
@@ -314,6 +316,12 @@ class TestBatchedEvaluate:
             assert got.shape == want[deriv].shape
             scale = np.max(np.abs(want[deriv]))
             assert np.max(np.abs(got - want[deriv])) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_values_alone_are_the_full_tables_values(self, k):
+        pts = np.random.default_rng(k).random((50, 2))
+        (N,) = tabulate(k, pts, values=True)
+        assert np.array_equal(N, tabulate(k, pts)[0])
 
     @pytest.mark.parametrize("deriv", [-1, 3])
     def test_cell_values_rejects_other_derivatives(self, deriv):
