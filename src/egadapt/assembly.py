@@ -110,7 +110,7 @@ class _EdgeBatch:
     plus sub) order, in runs of one type (k, kind, minus side, plus sub):
     ``types`` lists the runs' types, ``start`` their first edges and
     ``runs`` their (first, end) edges, ``tid`` is each edge's run and
-    ``alone`` the (edge, run) of each run of one edge; ``Vm``, ``Gnm``,
+    ``alone`` the edges that are runs of their own; ``Vm``, ``Gnm``,
     ``Vp``, ``Gnp`` stack the types' tables.  ``rows`` holds the cell rows,
     minus then plus, and the points ``P`` (E, nq, 2) of the edge rule on
     the minus faces are read-only, their ``x``, ``y`` from ``memo_points``."""
@@ -125,7 +125,7 @@ class _EdgeBatch:
         self.runs = list(zip(self.start.tolist(),
                              self.start[1:].tolist() + [len(sel)]))
         self.tid = np.cumsum(new) - 1
-        self.alone = [(a, t) for t, (a, b) in enumerate(self.runs) if b - a == 1]
+        self.alone = [a for a, b in self.runs if b - a == 1]
         self.types = [(space.k, self.kind, s, u) for s, u in
                       zip(side[self.start].tolist(), sub[self.start].tolist())]
         self.Vm, self.Gnm, self.Vp, self.Gnp, X = map(self.stack, (0, 2, 3, 5, 7))
@@ -154,28 +154,29 @@ class _EdgeBatch:
                   for s in (1, 4)),
                 np.max(np.abs(Kv).reshape(len(self.h), -1), axis=1))
 
-    def own(self, out):
-        """Each edge's own type of ``out`` (E, T, ...), made for every type."""
-        # row e * T + t of the flattened array is edge e's for type t
-        rows = np.arange(len(self.h)) * len(self.types) + self.tid
-        return np.take(out.reshape((-1,) + out.shape[2:]), rows, axis=0)
+    def per_run(self, fn, *args):
+        """``fn(t, *(x[first:end] for x in args))`` for each run of type t,
+        concatenated: one call per run, as for one group of one type."""
+        return np.concatenate([fn(t, *(x[a:b] for x in args))
+                               for t, (a, b) in enumerate(self.runs)])
 
     def times(self, table, C):
         """(E, nq): each edge's row of ``C`` times its (nq, n) table,
-        transposed, with the tables per type or, if there are more, per
-        edge; for a run of one edge as one product of a single row."""
-        own = len(table) > len(self.types)
-        out = np.einsum("eqi,ei->eq", table, C) if own else self.own(
-            (C @ table.reshape(-1, C.shape[1]).T).reshape(len(C), len(table), -1))
-        for e, t in self.alone:
-            out[e] = C[e] @ table[e if own else t].T
+        transposed, with the tables per type (one product per run) or, if
+        there are more, per edge; for a run of one edge as one product of
+        a single row."""
+        if len(table) == len(self.types):
+            return self.per_run(lambda t, C: C @ table[t].T, C)
+        out = np.einsum("eqi,ei->eq", table, C)
+        for e in self.alone:
+            out[e] = C[e] @ table[e].T
         return out
 
     def integrate(self, values):
         """(E,): the rule's weighted sums of ``values`` (E, nq), for a run of
         one edge as one product of a single row."""
         out = values @ self.w
-        for e, _ in self.alone:
+        for e in self.alone:
             out[e] = values[e] @ self.w
         return out
 
@@ -343,23 +344,24 @@ def assemble_rhs(space, problem, t_n, penalty=PenaltySpec(), prev=None, dt=None)
     cells = np.einsum("qc,qi->ic", load, tb.N).T * tb.sides[:, None] ** 2
     parts = [(space.cell_dofs, cells)]
 
-    # an einsum sums each entry over the points alone, in point order, so
-    # an edge's terms for its type are the same floats whatever else
-    # shares the call
     th, al = penalty.theta, penalty.alpha
     for b in edge_groups(space):
         if b.kind is EdgeKind.INTERIOR:
             continue
         if b.kind is EdgeKind.NEUMANN:
             gv = at_points(problem.g_N, b.x, b.y, t_n)
-            bloc = b.own(np.einsum("e,q,eq,tqi->eti", b.h, b.w, gv, b.Vm))
+            bloc = b.per_run(lambda t, h, gv: np.einsum(
+                "e,q,eq,qi->ei", h, b.w, gv, b.Vm[t]), b.h, gv)
         else:
             gv = at_points(problem.g_D, b.x, b.y, t_n)
             fm, _, kmax = b.conormal(problem.K)
-            flux = (b.own(np.einsum("q,eq,tqi->eti", b.w, gv, fm))
-                    if problem.K is None
-                    else np.einsum("q,eq,eqi->ei", b.w, gv, fm))
-            pen = b.own(np.einsum("e,q,eq,tqi->eti", al * kmax, b.w, gv, b.Vm))
+            if problem.K is None:
+                flux = b.per_run(lambda t, gv: np.einsum(
+                    "q,eq,eqi->ei", b.w, gv, fm[t:t + 1]), gv)
+            else:
+                flux = np.einsum("q,eq,eqi->ei", b.w, gv, fm)
+            pen = b.per_run(lambda t, a, gv: np.einsum(
+                "e,q,eq,qi->ei", a, b.w, gv, b.Vm[t]), al * kmax, gv)
             bloc = th * flux + pen
         parts.append((np.take(space.cell_dofs, b.minus_rows, axis=0), bloc))
     return _scatter(space.n_dofs, parts)
@@ -403,9 +405,7 @@ class CondensedSolver:
         fixed[space.slaves] = fixed[space.n_cg] = True
         self.order = order[~fixed[order]]
         self.C = space.constraint_matrix[:, self.order]
-        # the product comes with unsorted indices: two transposes sort them
-        # in linear passes, before splu would sort each column
-        self.matrix_c = (self.C.T @ matrix @ self.C).tocsr().tocsc()
+        self.matrix_c = (self.C.T @ matrix @ self.C).tocsc()
         try:
             self.lu = splu(self.matrix_c, permc_spec="NATURAL",
                            diag_pivot_thresh=0.1)

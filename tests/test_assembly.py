@@ -541,19 +541,6 @@ class TestConstraintMatrix:
                               ref.toarray()[np.ix_(p, p)])
 
     @pytest.mark.parametrize("k", [1, 2])
-    def test_condensed_arrays_equal_the_sorted_product(self, k):
-        # the factor gets the product's arrays as a per-column sort leaves them
-        s = EGSpace(random_adaptive_mesh(seed=4), k)
-        S = euler_matrix(s, theta=-1)
-        solver = CondensedSolver(S, s)
-        want = (solver.C.T @ S @ solver.C).tocsc()
-        want.sort_indices()
-        got = solver.matrix_c
-        assert got.format == "csc" and got.has_canonical_format
-        for a in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(got, a), getattr(want, a))
-
-    @pytest.mark.parametrize("k", [1, 2])
     def test_unknowns_are_the_free_dofs(self, k):
         s = EGSpace(random_adaptive_mesh(seed=4), k)
         assert len(s.slaves)
