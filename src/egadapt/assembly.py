@@ -8,8 +8,9 @@ cells the edge length cancels against the gradient scaling, so with a
 constant-identity diffusion tensor all edges of one type (kind, minus
 side, plus-side sub-interval) share one local matrix, built once per
 process.  The cells are one batch, and the edges one batch per kind, in
-runs of one type (:class:`_EdgeBatch`): each pass over a batch computes
-what one pass per type would, to the bit, in the same order.
+runs of one type (:class:`_EdgeBatch`), built once per mesh: each run
+takes the calls one group of its type would, so every float and its
+order stay those of one pass per type.
 
 Each matrix is assembled in one pass: the nonzero local entries go into
 one triplet set sized up front, converted to CSR once; given a time step,
