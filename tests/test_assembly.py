@@ -476,7 +476,7 @@ class TestBatchesMatchGroups:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_long_runs(self, k):
-        # runs of hundreds of edges of one type, multiplied by every type
+        # runs of hundreds of edges of one type
         part = {"left": "N", "bottom": "N", "right": "D", "top": "D"}
         space = EGSpace(build_initial(DomainShape.UNIT_SQUARE, 1 / 32, part), k)
         (g,) = [g for g in edge_groups(space) if g.kind is EdgeKind.INTERIOR]
