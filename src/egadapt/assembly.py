@@ -13,16 +13,16 @@ takes the calls one group of its type would, so every float and its
 order stay those of one pass per type.
 
 Each matrix is assembled in one pass: the nonzero local entries go into
-one triplet set sized up front, converted to CSR once; given a time step,
-M / dt + A_theta is that one pass.  Edge blocks sit on the cells' joint
-dofs: a plus face node at a minus face node's point is that global dof,
-where a conforming face's continuous part has no jump, nor with K = I an
-average flux, and those entries are exact zeros, never emitted.
+one triplet set sized up front, compressed to CSR once (:func:`_compress`);
+given a time step, M / dt + A_theta is that one pass.  Edge blocks sit on
+the cells' joint dofs: a plus face node at a minus face node's point is
+that global dof, where a conforming face's continuous part has no jump,
+nor with K = I an average flux, and those entries are exact zeros.
 
 A system is solved for its free dofs, those that are neither hanging
-slaves nor the pinned constant, mapped to the full vector by their
-columns of the space's constraint matrix.  The SuperLU factor takes them
-in the quadtree's nested-dissection order (:meth:`EGSpace.factor_order`),
+slaves nor the pinned constant, compressed from its entries with each
+slave's folded onto its masters.  The SuperLU factor takes them in the
+quadtree's nested-dissection order (:meth:`EGSpace.factor_order`),
 keeping each diagonal pivot of at least a tenth of its column's maximum.
 """
 
@@ -34,6 +34,7 @@ from functools import cache, lru_cache
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse._sparsetools import coo_tocsr, csr_sum_duplicates, csr_tocsc
 from scipy.sparse.linalg import splu
 
 from .mesh import KINDS, NORMALS, SUB_FULL, EdgeKind
@@ -197,13 +198,31 @@ def edge_groups(space):
 # ----------------------------------------------------------------------
 # matrices
 
+def _compress(n, rows, cols, vals, form=sparse.csr_matrix):
+    """The triplets, less any at (n, n), as a canonical n x n CSR matrix,
+    or CSC with ``form=sparse.csc_matrix`` and the indices swapped.  Stable
+    counting passes by column, then by row, leave equal entries adjacent
+    in emission order, summed left to right as ``np.bincount`` sums: linear
+    time, no sort.  The second pass overwrites ``cols`` and ``vals``."""
+    m, size = n + 1, len(vals)
+    by_col = np.empty(m + 1, np.int32), np.empty(size, np.int32), \
+        np.empty(size)
+    coo_tocsr(m, m, size, cols, rows, vals, *by_col)
+    indptr = np.empty(m + 1, np.int32)
+    csr_tocsc(m, m, *by_col, indptr, cols, vals)
+    csr_sum_duplicates(m, m, indptr, cols, vals)
+    out = form((vals[:indptr[n]], cols[:indptr[n]], indptr[:m]), shape=(n, n))
+    out.has_canonical_format = True
+    return out
+
+
 def _to_csr(n, blocks):
     """Sum blocks into one n x n CSR matrix.  A block (dofs, loc, runs)
     gives its entities' global indices (E, m), their local matrices (test,
     trial), one per type or one per entity, and the (first, end) entities
     of its runs of one type.  Entity by entity, the triplets take its
     entries, row-major, less those that are zero on every entity of its
-    type; they are written into arrays sized up front."""
+    type; they are written into arrays sized up front and compressed."""
     plans = []
     for dofs, loc, runs in blocks:
         dofs, loc = dofs.astype(np.int32), loc.reshape(len(loc), -1)
@@ -222,7 +241,7 @@ def _to_csr(n, blocks):
             np.take(dofs, local, axis=1, out=out[pos:end].reshape(shape))
         vals[pos:end].reshape(shape)[...] = loc[..., f]
         pos = end
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return _compress(n, rows, cols, vals)
 
 
 def _stiffness_data(space, K):
@@ -371,6 +390,30 @@ def assemble_rhs(space, problem, t_n, penalty=PenaltySpec(), prev=None, dt=None)
 # ----------------------------------------------------------------------
 # constrained solve
 
+def _condense(matrix, n, at, ptr, unknown, weight):
+    """``matrix`` on the n unknowns as a canonical CSC matrix.  An entry
+    between free dofs goes to their unknowns ``at``; any other is parked at
+    (n, n) and followed by one entry per pair of its row's and column's
+    map entries (``unknown``, ``weight`` from ``ptr``, as a CSR matrix's),
+    its value times the row's weight, then the column's."""
+    rows = np.repeat(at, np.diff(matrix.indptr))
+    cols = at[matrix.indices]
+    t = np.flatnonzero((rows < 0) | (cols < 0))
+    rows[t] = cols[t] = n
+    ij = [np.searchsorted(matrix.indptr, t, "right") - 1, matrix.indices[t]]
+    v = matrix.data[t]
+    for a in (0, 1):
+        first, count = ptr[ij[a]], np.diff(ptr)[ij[a]]
+        e = np.repeat(np.arange(len(v)), count)
+        m = np.repeat(first - np.cumsum(count) + count, count) + \
+            np.arange(len(e))
+        ij = [x[e] for x in ij]
+        ij[a], v = unknown[m], v[e] * weight[m]
+    return _compress(n, np.concatenate([cols, ij[1]]),
+                     np.concatenate([rows, ij[0]]),
+                     np.concatenate([matrix.data, v]), sparse.csc_matrix)
+
+
 class CondensedSolver:
     """LU factorization of a system restricted to its free dofs.
 
@@ -379,9 +422,10 @@ class CondensedSolver:
     cell's constant is pinned to zero, which picks one coefficient vector
     per solution and leaves the computed function unchanged.  The unknowns
     are the free dofs, neither hanging slaves nor that pin, in the space's
-    nested-dissection order: column ``i`` of ``C`` is dof ``order[i]``'s
-    column of the constraint matrix, so ``matrix_c = C.T @ matrix @ C``
-    and a solve rebuilds every slave from its masters (and the pin as 0).
+    nested-dissection order ``order``.  For those columns ``C`` of the
+    constraint matrix, ``matrix_c = C.T @ matrix @ C`` is compressed from
+    ``matrix``'s entries, and a solve restricts and extends by ``C``
+    without forming it, adding by ascending dof.
 
     SuperLU keeps that column order (``permc_spec="NATURAL"``) and every
     diagonal pivot of at least a tenth of its column's largest entry
@@ -402,11 +446,22 @@ class CondensedSolver:
         self.space = space
         self.key = key
         order = space.factor_order()
-        fixed = np.zeros(space.n_dofs, dtype=bool)
-        fixed[space.slaves] = fixed[space.n_cg] = True
-        self.order = order[~fixed[order]]
-        self.C = space.constraint_matrix[:, self.order]
-        self.matrix_c = (self.C.T @ matrix @ self.C).tocsc()
+        at = np.zeros(space.n_dofs, dtype=np.int32)   # each free dof's unknown
+        at[space.slaves] = at[space.n_cg] = -1
+        self.order = order[at[order] == 0]
+        at[self.order] = np.arange(len(self.order))
+        # C's rows: a free dof's unknown with weight 1, a slave's masters'
+        # unknowns with their weights, none for the pin
+        width = (at >= 0).astype(np.int32)
+        width[space.slaves] = space.k + 1
+        ptr = np.concatenate([[0], np.cumsum(width)])
+        self._dof = np.repeat(np.arange(space.n_dofs, dtype=np.int32), width)
+        self._unknown, self._weight = at[self._dof], np.ones(len(self._dof))
+        rows = ptr[space.slaves, None] + np.arange(space.k + 1)
+        self._unknown[rows] = at[space.masters]
+        self._weight[rows] = space.master_weights
+        self.matrix_c = _condense(matrix.tocsr(), len(self.order), at, ptr,
+                                  self._unknown, self._weight)
         try:
             self.lu = splu(self.matrix_c, permc_spec="NATURAL",
                            diag_pivot_thresh=0.1)
@@ -416,7 +471,8 @@ class CondensedSolver:
                 f"{exc}") from exc
 
     def solve(self, rhs):
-        bc = self.C.T @ rhs
+        bc = np.bincount(self._unknown, self._weight * rhs[self._dof],
+                         minlength=len(self.order))
         scale = np.linalg.norm(bc)
         bound = self.residual_tol * max(scale, 1e-300)
         x = self.lu.solve(bc)
@@ -427,7 +483,8 @@ class CondensedSolver:
             r = bc - self.matrix_c @ x
             res = np.linalg.norm(r)
             if res <= bound:
-                return self.C @ x
+                return np.bincount(self._dof, self._weight * x[self._unknown],
+                                   minlength=self.space.n_dofs)
             if sweep == 3 or not math.isfinite(res):
                 break
             x = x + self.lu.solve(r)

@@ -141,7 +141,8 @@ class EGSpace:
     def _build_constraints(self):
         """Each hanging edge ties one node of its fine half-face to the
         trace of the coarse face polynomial.  On a 1-irregular mesh the
-        coarse face nodes are never hanging themselves."""
+        coarse face nodes are never hanging themselves.  Slave i (ascending)
+        has the masters ``masters[i]``, ascending, and their weights."""
         e = self.mesh.edge_arrays
         h = np.flatnonzero(e.hanging)
         face, li, weights = _hanging_table(self.k)
@@ -150,8 +151,10 @@ class EGSpace:
         masters = self.cell_dofs[e.plus[h, None], face[side ^ 1]]
         # the two half-edges of a Q1 face share their slave
         self.slaves, first = np.unique(slaves, return_index=True)
-        self._masters, self._weights = masters[first], weights[sub[first]]
-        if np.any(np.isin(self._masters, self.slaves)):
+        by_dof = np.argsort(masters[first], axis=1)
+        self.masters, self.master_weights = (np.take_along_axis(
+            a, by_dof, axis=1) for a in (masters[first], weights[sub[first]]))
+        if np.any(np.isin(self.masters, self.slaves)):
             raise MeshError("a hanging-node master is itself hanging")
 
     @cached_property
@@ -169,9 +172,8 @@ class EGSpace:
         indices = np.repeat(np.arange(n, dtype=np.int32), count)
         data = np.ones(indptr[-1])
         at = indptr[self.slaves, None] + np.arange(width)
-        order = np.argsort(self._masters, axis=1)
-        indices[at] = np.take_along_axis(self._masters, order, axis=1)
-        data[at] = np.take_along_axis(self._weights, order, axis=1)
+        indices[at] = self.masters
+        data[at] = self.master_weights
         C = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
         for a in (C.data, C.indices, C.indptr):
             a.setflags(write=False)

@@ -422,7 +422,8 @@ def edge_data(etype, fm, fp, kmax, penalty):
 
 def _to_csr(n, dofs, data):
     """Blocks of local matrices summed into one CSR matrix, block by
-    block, less the entries that are zero on every entity of a block."""
+    block, less the entries that are zero on every entity of a block;
+    duplicates are summed in emission order (:func:`csr_in_emission_order`)."""
     size = sum(d.shape[0] * d.shape[1] ** 2 for d in dofs)
     rows, cols = np.empty((2, size), dtype=np.int32)
     vals = np.empty(size)
@@ -434,7 +435,19 @@ def _to_csr(n, dofs, data):
         cols[pos:end] = d[:, j].ravel()
         vals[pos:end].reshape(len(d), -1)[...] = loc[:, i, j]
         pos = end
-    return sparse.csr_matrix((vals[:pos], (rows[:pos], cols[:pos])), shape=(n, n))
+    return csr_in_emission_order(n, rows[:pos], cols[:pos], vals[:pos])
+
+
+def csr_in_emission_order(n, rows, cols, vals):
+    """The n x n triplets as canonical CSR, each entry's duplicates added
+    one at a time in the order given (``np.bincount`` adds in input order),
+    by a sort of the (row, col) keys."""
+    keys, inverse = np.unique(rows.astype(np.int64) * n + cols,
+                              return_inverse=True)
+    data = np.bincount(inverse, vals, minlength=len(keys))
+    counts = np.bincount(keys // n, minlength=n)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return sparse.csr_matrix((data, keys % n, indptr), shape=(n, n))
 
 
 def assemble_A_theta_groups(space, K=None, penalty=PenaltySpec(), dt=None):
@@ -552,8 +565,8 @@ def constraint_matrix_coo(space):
     n = space.n_dofs
     ids = np.setdiff1d(np.arange(n), space.slaves, assume_unique=True)
     rows = np.concatenate([ids, np.repeat(space.slaves, space.k + 1)])
-    cols = np.concatenate([ids, space._masters.ravel()])
-    vals = np.concatenate([np.ones(len(ids)), space._weights.ravel()])
+    cols = np.concatenate([ids, space.masters.ravel()])
+    vals = np.concatenate([np.ones(len(ids)), space.master_weights.ravel()])
     return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 

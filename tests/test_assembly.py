@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.sparse._compressed import _cs_matrix
 from scipy.sparse.linalg import splu, spsolve
 
 from egadapt import (CondensedSolver, DiscreteField, DomainShape, EdgeKind,
@@ -13,15 +14,16 @@ from egadapt import (CondensedSolver, DiscreteField, DomainShape, EdgeKind,
                      assemble_stiffness, broken_h1_error, build_initial,
                      compute_indicators, edge_rule, example1,
                      galerkin_residual, interpolate, smoke_linear)
-from egadapt.assembly import _constant_K_data, _edge_type, edge_groups
+from egadapt.assembly import (_compress, _constant_K_data, _edge_type,
+                              edge_groups)
 from egadapt.mesh import BOUNDARY_FACES, NORMALS, SUB_FULL
 from egadapt.space import _hanging_table, face_points
 
 from conftest import random_adaptive_mesh
 from reference import (assemble_A_theta_groups, assemble_rhs_add_at,
                        assemble_rhs_groups, constraint_matrix_coo,
-                       edge_matrix, edges, evaluate, indicators_groups,
-                       joint_dofs)
+                       csr_in_emission_order, edge_matrix, edges, evaluate,
+                       indicators_groups, joint_dofs)
 from test_mesh import HISTORIES, _random_history
 
 
@@ -484,6 +486,71 @@ class TestBatchesMatchGroups:
         _assert_same_floats(space, None)
 
 
+def _assert_same_arrays(got, want):
+    for a in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, a), getattr(want, a))
+    # bit for bit: the random values hold no negative zero
+    assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+
+
+class TestCompress:
+    """``_compress`` sums duplicates in emission order, as the sorting
+    oracle ``csr_in_emission_order`` does, and returns canonical CSR."""
+
+    @staticmethod
+    def triplets(rows, cols, seed=0):
+        rows, cols = (np.asarray(a, dtype=np.int32) for a in (rows, cols))
+        rng = np.random.default_rng(seed)
+        # magnitudes spread widely, so every summation order rounds apart
+        vals = rng.standard_normal(len(rows)) * 10.0 ** rng.integers(
+            -8, 9, len(rows))
+        return rows, cols, vals
+
+    def check(self, n, rows, cols, vals):
+        want = csr_in_emission_order(n, rows, cols, vals)
+        got = _compress(n, rows.copy(), cols.copy(), vals.copy())
+        assert got.format == "csr" and got.shape == (n, n)
+        _assert_same_arrays(got, want)
+        fresh = sparse.csr_matrix((got.data, got.indices, got.indptr),
+                                  shape=(n, n))
+        assert fresh.has_canonical_format
+        # swapped, the transpose's arrays are the canonical CSC matrix
+        csc = _compress(n, cols.copy(), rows.copy(), vals.copy(),
+                        sparse.csc_matrix)
+        assert csc.format == "csc" and (csc != want).nnz == 0
+        _assert_same_arrays(csc, csr_in_emission_order(n, cols, rows, vals))
+        return got
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 9), size=st.integers(0, 300),
+           seed=st.integers(0, 2 ** 16))
+    def test_random_triplets_with_duplicates(self, n, size, seed):
+        rng = np.random.default_rng(seed)
+        self.check(n, *self.triplets(rng.integers(0, n, size),
+                                     rng.integers(0, n, size), seed))
+
+    def test_empty_rows_columns_and_a_row_of_duplicates(self):
+        # rows 0, 2, 5 and columns 1, 4 stay empty; row 3 is one entry
+        # emitted eight times, between the others
+        rows = [1, 3, 3, 6, 3, 1, 3, 3, 4, 3, 6, 3, 3, 1]
+        cols = [0, 2, 2, 5, 2, 6, 2, 2, 3, 2, 0, 2, 2, 0]
+        got = self.check(7, *self.triplets(rows, cols))
+        assert np.array_equal(got.getnnz(axis=1), [0, 2, 0, 1, 1, 0, 2])
+        assert np.array_equal(got.getnnz(axis=0), [2, 0, 1, 1, 0, 1, 1])
+
+    def test_one_dof_and_no_triplets(self):
+        self.check(1, *self.triplets([0] * 5, [0] * 5))
+        self.check(1, *self.triplets([], []))
+        assert _compress(3, *self.triplets([], [])).nnz == 0
+
+    def test_triplets_at_n_n_drop_out(self):
+        rows, cols, vals = self.triplets([0, 3, 2, 3, 0], [1, 3, 2, 3, 1])
+        got = _compress(3, rows.copy(), cols.copy(), vals.copy())
+        keep = [0, 2, 4]
+        _assert_same_arrays(got, csr_in_emission_order(
+            3, rows[keep], cols[keep], vals[keep]))
+
+
 def reference_constraint_matrix(space, pins=()):
     """Per-dof loop building the constraint map from the slaves' master
     dofs and weights, pinned rows left empty."""
@@ -496,8 +563,8 @@ def reference_constraint_matrix(space, pins=()):
             cols.append(i)
             vals.append(1.0)
     for s, masters, weights in zip(space.slaves.tolist(),
-                                   space._masters.tolist(),
-                                   space._weights.tolist()):
+                                   space.masters.tolist(),
+                                   space.master_weights.tolist()):
         for m, w in zip(masters, weights):
             rows.append(s)
             cols.append(m)
@@ -527,18 +594,17 @@ class TestConstraintMatrix:
         assert not len(s.slaves)
         assert np.array_equal(s.constraint_matrix.toarray(), np.eye(s.n_dofs))
 
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_condensed_matrix_entry_for_entry(self, k):
-        s = EGSpace(random_adaptive_mesh(seed=4), k)
-        assert len(s.slaves)
-        S = euler_matrix(s, theta=-1)
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(k=st.sampled_from([1, 2]), theta=st.sampled_from([-1, 0, 1]),
+           **HISTORIES)
+    def test_condensed_matrix_entry_for_entry(self, k, theta, shape, ops,
+                                              seed):
+        # the per-dof oracle's map, its columns in the solver's unknowns
+        s = EGSpace(_random_history(shape, ops, seed), k)
+        S = euler_matrix(s, theta)
         solver = CondensedSolver(S, s)
-        C, ref = oracle_condensed(s, S)
-        # the solver's unknowns are the dofs in its factor order
-        p = solver.order
-        assert np.array_equal(solver.C.toarray(), C.toarray()[:, p])
-        assert np.array_equal(solver.matrix_c.toarray(),
-                              ref.toarray()[np.ix_(p, p)])
+        C, _ = oracle_condensed(s, S)
+        assert_galerkin_product(solver.matrix_c, C[:, solver.order], S)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_unknowns_are_the_free_dofs(self, k):
@@ -554,22 +620,41 @@ class TestConstraintMatrix:
         assert np.array_equal(x[s.slaves], (s.constraint_matrix @ x)[s.slaves])
 
     @pytest.mark.parametrize("k", [1, 2])
-    def test_free_dof_map_is_the_column_slice(self, k):
+    @pytest.mark.parametrize("theta", [-1, 0, 1])
+    def test_free_dof_map_is_the_column_slice(self, k, theta):
         # the map is the constraint matrix's free-dof columns, in factor
-        # order, and the condensed matrix its Galerkin product
+        # order: the condensed matrix is its Galerkin product, a solve
+        # restricts the load by it and extends the unknowns by it
         s = EGSpace(random_adaptive_mesh(seed=4), k)
         assert len(s.slaves)
-        S = euler_matrix(s, theta=-1)
+        S = euler_matrix(s, theta)
         solver = CondensedSolver(S, s)
         C = s.constraint_matrix[:, solver.order]
-        expect = (C.T @ S @ C).tocsc()
-        for got, want in ((solver.C, C), (solver.matrix_c, expect)):
-            got, want = got.copy(), want.copy()
-            got.sort_indices()
-            want.sort_indices()
-            assert got.shape == want.shape
-            for a in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(got, a), getattr(want, a))
+        assert_galerkin_product(solver.matrix_c, C, S)
+        b = np.random.default_rng(k).standard_normal(s.n_dofs)
+        x = solver.solve(b)
+        assert np.array_equal(C @ x[solver.order], x)
+        r = C.T @ b - solver.matrix_c @ x[solver.order]
+        assert np.linalg.norm(r) <= (solver.residual_tol
+                                     * np.linalg.norm(C.T @ b))
+
+    def test_factoring_forms_no_sparse_product_and_sorts_nothing(
+            self, monkeypatch):
+        s = EGSpace(random_adaptive_mesh(seed=4), 2)
+        S = euler_matrix(s, -1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sparse product or index sort")
+
+        for name in ("_matmul_sparse", "sort_indices", "sorted_indices"):
+            monkeypatch.setattr(_cs_matrix, name, refuse)
+        solver = CondensedSolver(S, s)
+        monkeypatch.undo()
+        got = solver.matrix_c
+        # canonical by a fresh check, not by the flag the solver set
+        fresh = sparse.csc_matrix((got.data, got.indices, got.indptr),
+                                  shape=got.shape)
+        assert got.format == "csc" and fresh.has_canonical_format
 
     def test_factoring_leaves_the_space_intact(self):
         s = EGSpace(random_adaptive_mesh(seed=4), 1)
@@ -585,6 +670,19 @@ class TestConstraintMatrix:
         for a, b in zip(before, (C.data, C.indices, C.indptr)):
             assert np.array_equal(a, b)
         assert CondensedSolver(S, s).lu.nnz == first
+
+
+def assert_galerkin_product(got, C, S):
+    """``got`` is ``C.T @ S @ C``: equal on the entries whose row and column
+    unknowns are no slave's masters (their sums have a single term), else
+    within 1e-13 of the largest entry."""
+    want = (C.T @ S @ C).toarray()
+    fed = np.diff(C.tocsc().indptr) > 1
+    plain = ~(fed[:, None] | fed[None, :])
+    got = got.toarray()
+    assert got.shape == want.shape
+    assert np.array_equal(got[plain], want[plain])
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def euler_matrix(space, theta=0):
